@@ -34,7 +34,6 @@ from .errors import (
     SelectionError,
     UnitError,
 )
-from .laws import GenConfig, LawReport, run_law, run_suite
 from .line import (
     AffineMap,
     Step,
@@ -99,3 +98,19 @@ from .strength import (
 )
 
 __version__ = "0.1.0"
+
+# The law suite sits on top of every other layer and is the costliest
+# module to import, so its public names load on first access (PEP 562).
+_LAW_NAMES = ("GenConfig", "LawReport", "run_law", "run_suite")
+
+
+def __getattr__(name):
+    if name in _LAW_NAMES:
+        from . import laws
+
+        return getattr(laws, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAW_NAMES))

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
-from . import laws as law_suite
-from .dist import Dist, total
+from .dist import total
 from .errors import FinmeasError, ParseError
-from .jsonio import dist_from_json, dist_to_json, point_to_json, table_from_json
+from .jsonio import dist_from_json, dist_to_json, table_from_json
 from .line import Step, convolve, derivative, expectation, interval, moment, primitive
 from .pairing import pair
 from .probability import condition, is_event_table, is_probability, marginals
@@ -24,9 +24,14 @@ from .strength import tensor
 
 def _read_json(path: str):
     if path == "-":
-        return json.loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_dists(paths, expected: int) -> list:
@@ -66,18 +71,14 @@ def _render_table(payload, indent="") -> str:
     return f"{indent}{payload}\n"
 
 
-def _dist_out(p: Dist) -> dict:
-    return dist_to_json(p)
-
-
 def _cmd_conv(args):
     ps = _load_dists(args.inputs, 2)
-    return _dist_out(convolve(ps[0], ps[1]))
+    return dist_to_json(convolve(ps[0], ps[1]))
 
 
 def _cmd_tensor(args):
     ps = _load_dists(args.inputs, 2)
-    return _dist_out(tensor(ps[0], ps[1]))
+    return dist_to_json(tensor(ps[0], ps[1]))
 
 
 def _cmd_pair(args):
@@ -100,7 +101,7 @@ def _cmd_cond(args):
     event = table_from_json(_read_json(args.event))
     if not is_event_table(event):
         raise ParseError("the event table must be 0/1-valued (idempotent)")
-    return _dist_out(condition(p, event))
+    return dist_to_json(condition(p, event))
 
 
 def _cmd_joint(args):
@@ -108,23 +109,23 @@ def _cmd_joint(args):
     for p in ps:
         if not is_probability(p):
             raise ParseError("joint needs total-1 inputs")
-    return _dist_out(tensor(ps[0], ps[1]))
+    return dist_to_json(tensor(ps[0], ps[1]))
 
 
 def _cmd_marginal(args):
     (j,) = _load_dists(args.inputs, 1)
     m1, m2 = marginals(j)
-    return {"left": _dist_out(m1), "right": _dist_out(m2)}
+    return {"left": dist_to_json(m1), "right": dist_to_json(m2)}
 
 
 def _cmd_derive(args):
     (p,) = _load_dists(args.inputs, 1)
-    return _dist_out(derivative(p, Step(parse_rational(args.step))))
+    return dist_to_json(derivative(p, Step(parse_rational(args.step))))
 
 
 def _cmd_primitive(args):
     (q,) = _load_dists(args.inputs, 1)
-    return _dist_out(primitive(q, Step(parse_rational(args.step))))
+    return dist_to_json(primitive(q, Step(parse_rational(args.step))))
 
 
 def _cmd_interval(args):
@@ -132,15 +133,24 @@ def _cmd_interval(args):
         parse_rational(args.a), parse_rational(args.b),
         Step(parse_rational(args.step)),
     )
-    return _dist_out(comb)
+    return dist_to_json(comb)
 
 
 def _cmd_laws(args):
+    from . import laws as law_suite
+
     cfg = law_suite.GenConfig(seed=args.seed, cases=args.cases)
     reports = law_suite.run_suite(cfg, selection=args.law or None)
     payload = [r.to_json() for r in reports]
     ok = all(r.passed for r in reports)
     return payload, ok
+
+
+def _natural_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -150,7 +160,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_io_flags(sub, inputs=1):
+def _law_name(text: str) -> str:
+    """Check a --law value against the registry, importing the law suite
+    only when --law is given."""
+    from .laws import LAWS
+
+    if text not in LAWS:
+        choices = ", ".join(map(repr, sorted(LAWS)))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads `-p/q` as a negative rational, not as
+    an option; argparse's own test accepts only negative decimals."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
+def _add_io_flags(sub):
     sub.add_argument(
         "--in", dest="inputs", action="append", metavar="FILE",
         help="input distribution JSON ('-' for stdin)",
@@ -161,7 +191,7 @@ def _add_io_flags(sub, inputs=1):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finmeas",
         description="Exact finite-support distributions: algebra, probability, "
         "difference calculus, and the law suite.",
@@ -185,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("moments", help="total, expectation, and moments of a line distribution")
     _add_io_flags(s)
-    s.add_argument("--order", type=int, default=2, help="highest moment order (default 2)")
+    s.add_argument(
+        "--order", type=_natural_int, default=2, help="highest moment order (default 2)",
+    )
     s.set_defaults(handler=_cmd_moments)
 
     s = sub.add_parser("cond", help="condition a distribution on a 0/1 event table")
@@ -216,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--cases", type=_positive_int, default=200)
     s.add_argument(
-        "--law", action="append", metavar="NAME", choices=sorted(law_suite.LAWS),
+        "--law", action="append", metavar="NAME", type=_law_name,
         help="run only this law (repeatable); see README for the list",
     )
     fmt = s.add_mutually_exclusive_group()

@@ -10,22 +10,39 @@ deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import DomainError
-from .scalars import RATIONALS, Semiring
+from .scalars import RATIONALS, FrozenValue, Semiring
 
 
-@dataclass(frozen=True)
-class Left:
-    value: object
+class _Tagged(FrozenValue):
+    """A point tagged with the side of a biproduct it belongs to."""
+
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+
+    # Spelled out rather than inherited: every Dist over tagged points
+    # hashes and compares its points, and the generic field loop costs
+    # about a fifth of a mixture-heavy workload.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class Right:
-    value: object
+class Left(_Tagged):
+    __slots__ = ()
+
+
+class Right(_Tagged):
+    __slots__ = ()
 
 
 class FiniteSpace:

@@ -71,11 +71,14 @@ def dist_from_json(obj) -> Dist:
     if not isinstance(entries, list):
         raise ParseError('"points" must be an array')
     pairs = []
-    for entry in entries:
-        if not isinstance(entry, dict) or set(entry) != {"x", "w"}:
-            raise ParseError(f'each point needs exactly "x" and "w": {entry!r}')
-        pairs.append((point_from_json(entry["x"]), parse_rational(entry["w"])))
-    return Dist(pairs)
+    try:
+        for entry in entries:
+            if not isinstance(entry, dict) or set(entry) != {"x", "w"}:
+                raise ParseError(f'each point needs exactly "x" and "w": {entry!r}')
+            pairs.append((point_from_json(entry["x"]), parse_rational(entry["w"])))
+        return Dist(pairs)
+    except RecursionError:
+        raise ParseError("a point encoding is nested too deeply") from None
 
 
 def table_to_json(table: FunTable) -> dict:

@@ -205,10 +205,6 @@ def gen_map(rng, domain: FiniteSpace, codomain: FiniteSpace) -> FunTable:
     return FunTable(domain, {x: rng.choice(codomain.elements) for x in domain})
 
 
-def gen_fun_table(rng, domain: FiniteSpace, codomain: FiniteSpace) -> FunTable:
-    return gen_map(rng, domain, codomain)
-
-
 def gen_scalar_table(rng, cfg, domain: FiniteSpace,
                      semiring: Semiring = RATIONALS) -> FunTable:
     return FunTable(
@@ -808,7 +804,7 @@ def _tensor_initial(rng, cfg):
      "the evaluations, naturally in the codomain")
 def _cotensor(rng, cfg):
     sa, sb, sc = space_a(cfg), space_b(cfg), space_c(cfg)
-    tables = [gen_fun_table(rng, sa, sb) for _ in range(rng.randint(1, 3))]
+    tables = [gen_map(rng, sa, sb) for _ in range(rng.randint(1, 3))]
     pf = Dist((t, gen_scalar(rng, cfg)) for t in tables)
     x = rng.choice(sa.elements)
     g = tables[0]

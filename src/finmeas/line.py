@@ -10,7 +10,6 @@ supposed to hold for every nonzero step, so no global default exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dist import (
@@ -26,7 +25,7 @@ from .dist import (
 )
 from .errors import DomainError, NoPrimitiveError, NormalizationError
 from .pairing import TestFn, apply_fn, fn_action, pair
-from .scalars import RATIONALS
+from .scalars import RATIONALS, FrozenValue
 from .strength import tensor
 
 _rational = RATIONALS.coerce
@@ -41,12 +40,10 @@ def _require_line(p: Dist) -> Dist:
     return p
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(FrozenValue):
     """x -> slope*x + offset; invertible exactly when slope is nonzero."""
 
-    slope: Fraction
-    offset: Fraction
+    __slots__ = _fields = ("slope", "offset")
 
     def __init__(self, slope, offset):
         object.__setattr__(self, "slope", _rational(slope))
@@ -56,11 +53,10 @@ class AffineMap:
         return self.slope * x + self.offset
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(FrozenValue):
     """The (invertible) step of the difference calculus."""
 
-    d: Fraction
+    __slots__ = _fields = ("d",)
 
     def __init__(self, d):
         d = _rational(d)
@@ -161,10 +157,6 @@ def fn_derivative(phi, step: Step) -> TestFn:
     return TestFn(diff, zero=zero)
 
 
-def _grid_position(x: Fraction, d: Fraction) -> Fraction:
-    return x / d
-
-
 def primitive(q: Dist, step: Step) -> Dist:
     """The unique finite-support distribution whose derivative is q.
 
@@ -179,7 +171,7 @@ def primitive(q: Dist, step: Step) -> Dist:
     d = step.d
     orbits: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
     for x, w in q.items():
-        t = _grid_position(x, d)
+        t = x / d
         key = t - math.floor(t)
         orbits.setdefault(key, []).append((t, w))
     out = {}

@@ -10,27 +10,25 @@ component at the unit object".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dist import Dist, scale
 from .errors import UnitError
+from .scalars import FrozenValue
 
 
-@dataclass(frozen=True)
-class UnitTagged:
+class UnitTagged(FrozenValue):
     """A distribution of some quantity, expressed in a chosen unit."""
 
-    unit: object
-    body: Dist
+    __slots__ = _fields = ("unit", "body")
 
-    def __post_init__(self):
-        sr = self.body.semiring
-        unit = sr.coerce(self.unit)
+    def __init__(self, unit, body: Dist):
+        sr = body.semiring
+        unit = sr.coerce(unit)
         if unit == sr.zero:
             raise UnitError("the unit of a quantity must be nonzero")
         if sr.inv is None:
             raise UnitError(f"{sr.name} scalars cannot serve as units (no division)")
         object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "body", body)
 
 
 def to_pure(m: UnitTagged) -> Dist:

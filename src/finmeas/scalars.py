@@ -9,9 +9,7 @@ canonical reduced form with positive denominator) and the boolean rig
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .errors import ParseError
 
@@ -58,24 +56,63 @@ def _coerce_boolean(value) -> bool:
     raise TypeError(f"cannot use {value!r} as a boolean scalar")
 
 
-@dataclass(frozen=True)
-class Semiring:
+class FrozenValue:
+    """Base of the immutable value classes, with frozen-dataclass semantics.
+
+    A subclass lists its fields in `_fields` (and `__slots__`) and sets
+    them in `__init__` through `object.__setattr__`. Equality holds only
+    between instances of the same class and compares `_key()`, which
+    hash also uses; repr shows every field. These are not dataclasses
+    because importing `dataclasses` pulls in `inspect`, which would add
+    to the start-up of every CLI call.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), FrozenValue._key(self))
+
+
+class Semiring(FrozenValue):
     """A commutative semiring of scalar weights.
 
     `neg` is present exactly when the semiring is a ring; `inv` is a
     partial multiplicative inverse (defined away from zero) present when
     division makes sense. `coerce` canonicalizes user input and rejects
-    inexact values such as floats.
+    inexact values such as floats. Equality and hash compare `name`,
+    `zero` and `one` only.
     """
 
-    name: str
-    zero: object
-    one: object
-    add: Callable = field(compare=False)
-    mul: Callable = field(compare=False)
-    coerce: Callable = field(compare=False)
-    neg: Optional[Callable] = field(default=None, compare=False)
-    inv: Optional[Callable] = field(default=None, compare=False)
+    __slots__ = _fields = ("name", "zero", "one", "add", "mul", "coerce", "neg", "inv")
+
+    def __init__(self, name, zero, one, add, mul, coerce, neg=None, inv=None):
+        for f, value in zip(self._fields, (name, zero, one, add, mul, coerce, neg, inv)):
+            object.__setattr__(self, f, value)
+
+    def _key(self) -> tuple:
+        return (self.name, self.zero, self.one)
 
     @property
     def is_ring(self) -> bool:

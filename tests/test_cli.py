@@ -207,3 +207,73 @@ def test_nonpositive_cases_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["laws", "--cases", "0"])
     assert exc.value.code == 2
+
+
+def test_negative_step(capsys):
+    code, out, err = run_cli(capsys, ["interval", "0", "1", "--step", "-1/2"])
+    assert code == 0, err
+    assert out == '{"points":[{"x":"1/2","w":"1/2"},{"x":"1","w":"1/2"}]}\n'
+
+
+def test_negative_rational_positional(capsys):
+    code, out, err = run_cli(capsys, ["interval", "-1/2", "1/2", "--step", "1/4"])
+    assert code == 0, err
+    assert [e["x"] for e in json.loads(out)["points"]] == ["-1/2", "-1/4", "0", "1/4"]
+
+
+def test_negative_moment_order_is_usage_error(capsys, d6_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--in", d6_file, "--order", "-3"])
+    assert exc.value.code == 2
+    assert "--order: must be at least 0" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["moments", "--in", d6_file, "--order", "0"])
+    assert code == 0
+    assert json.loads(out)["moments"] == ["1"]
+
+
+def test_deeply_nested_point_exits_one(capsys, tmp_path):
+    point = '"1"'
+    for _ in range(3000):
+        point = '{"pair":[%s,"0"]}' % point
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"points":[{"x":%s,"w":"1"}]}' % point)
+    code, _, err = run_cli(capsys, ["tensor", "--in", str(deep), "--in", str(deep)])
+    assert code == 1
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_cli_import_skips_law_suite_and_dataclasses(tmp_path, d6_file):
+    import os
+    import subprocess
+    import sys
+
+    import finmeas
+
+    script = (
+        "import sys\n"
+        "import finmeas.cli\n"
+        "def loaded():\n"
+        "    return [m for m in ('finmeas.laws', 'dataclasses') if m in sys.modules]\n"
+        "after_import = loaded()\n"
+        f"code = finmeas.cli.main(['conv', '--in', {d6_file!r}, '--in', {d6_file!r}])\n"
+        "print(code, after_import, loaded())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(finmeas.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [] []"
+
+
+def test_law_suite_names_resolve_on_first_access():
+    import finmeas
+    from finmeas import GenConfig, run_suite
+    from finmeas.laws import GenConfig as suite_config, run_suite as suite_run
+
+    assert GenConfig is suite_config and run_suite is suite_run
+    assert {"GenConfig", "LawReport", "run_law", "run_suite"} <= set(dir(finmeas))
+    with pytest.raises(AttributeError):
+        finmeas.no_such_name

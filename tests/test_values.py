@@ -1,0 +1,125 @@
+"""The immutable value classes: equality, hash, repr and immutability
+match what frozen dataclasses gave, without importing `dataclasses`."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from finmeas import (
+    BOOLEANS,
+    RATIONALS,
+    AffineMap,
+    Dist,
+    Left,
+    Right,
+    Semiring,
+    Step,
+    UnitError,
+    UnitTagged,
+)
+
+HALF = Fraction(1, 2)
+
+
+def _values():
+    """Fresh instances on each call, so two calls give equal twins."""
+    return [
+        Left(Fraction(1)),
+        Right("a"),
+        Left((Fraction(1), "b")),
+        Step(HALF),
+        AffineMap(HALF, 3),
+        UnitTagged(2, Dist({"a": 1})),
+    ]
+
+
+NAMES = [type(v).__name__ for v in _values()]
+
+
+@pytest.mark.parametrize("value, twin", zip(_values(), _values()), ids=NAMES)
+def test_equal_twins_hash_alike(value, twin):
+    assert twin is not value
+    assert twin == value and not (twin != value)
+    assert hash(twin) == hash(value)
+
+
+def test_hash_is_the_hash_of_the_compared_fields():
+    assert hash(Left(HALF)) == hash((HALF,))
+    assert hash(AffineMap(HALF, 3)) == hash((HALF, Fraction(3)))
+    assert hash(RATIONALS) == hash(("rational", Fraction(0), Fraction(1)))
+
+
+def test_equality_needs_the_same_class():
+    assert Left(Fraction(1)) != Right(Fraction(1))
+    assert Right(Fraction(1)) != Left(Fraction(1))
+    assert Left(Fraction(1)) != (Fraction(1),)
+    assert Step(1) != AffineMap(1, 0)
+    assert len({Left("x"), Right("x")}) == 2
+
+
+def test_fields_are_compared():
+    assert Step(Fraction(1, 2)) == Step("1/2")
+    assert Step(HALF) != Step(Fraction(1, 3))
+    assert AffineMap(1, 2) != AffineMap(2, 1)
+    assert Left(Fraction(1)) != Left(Fraction(2))
+    assert UnitTagged(2, Dist({"a": 1})) != UnitTagged(2, Dist({"a": 2}))
+    assert UnitTagged(2, Dist({"a": 1})) != UnitTagged(3, Dist({"a": 1}))
+
+
+def test_semiring_compares_name_zero_and_one_only():
+    twin = Semiring("rational", Fraction(0), Fraction(1), None, None, None)
+    assert twin == RATIONALS
+    assert hash(twin) == hash(RATIONALS)
+    assert RATIONALS != BOOLEANS
+
+
+def test_repr():
+    assert repr(Left(Fraction(1))) == "Left(value=Fraction(1, 1))"
+    assert repr(Right("a")) == "Right(value='a')"
+    assert repr(Step(HALF)) == "Step(d=Fraction(1, 2))"
+    assert repr(AffineMap(HALF, 3)) == (
+        "AffineMap(slope=Fraction(1, 2), offset=Fraction(3, 1))"
+    )
+    assert repr(UnitTagged(2, Dist({"a": 1}))) == (
+        "UnitTagged(unit=Fraction(2, 1), body=Dist({'a': 1}))"
+    )
+    assert repr(RATIONALS) == "Semiring(rational)"
+
+
+@pytest.mark.parametrize("value", _values() + [RATIONALS], ids=NAMES + ["Semiring"])
+def test_immutable(value):
+    field = type(value)._fields[0]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, 5)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize(
+    "value", [Left(Fraction(1)), Right((HALF, "a")), Step(HALF), AffineMap(HALF, 3)],
+    ids=lambda v: type(v).__name__,
+)
+def test_copy_and_pickle_round_trip(value):
+    assert copy.copy(value) == value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_constructors_canonicalize_and_validate():
+    assert Step("1/2").d == HALF
+    assert AffineMap("1/2", 3).offset == Fraction(3)
+    assert UnitTagged("1/2", Dist({"a": 1})).unit == HALF
+    with pytest.raises(ValueError):
+        Step(0)
+    with pytest.raises(TypeError):
+        Step(0.5)
+    with pytest.raises(UnitError):
+        UnitTagged(0, Dist({"a": 1}))
+    with pytest.raises(UnitError):
+        UnitTagged(True, Dist({"a": True}, BOOLEANS))
