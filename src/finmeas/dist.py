@@ -62,6 +62,9 @@ class FiniteSpace:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSpace is immutable")
 
+    def __reduce__(self):
+        return (FiniteSpace, (self.elements,))
+
     def __iter__(self):
         return iter(self.elements)
 
@@ -85,8 +88,12 @@ def as_point(x):
     """Canonicalize a value into the point universe.
 
     Numbers become Fractions; floats are rejected outright to preserve
-    exactness. Pairs are 2-tuples of points.
+    exactness. Pairs are 2-tuples of points. An exact Fraction or str is
+    already canonical and comes back as is.
     """
+    cls = x.__class__
+    if cls is Fraction or cls is str:
+        return x
     if isinstance(x, bool):
         return Fraction(int(x))
     if isinstance(x, (int, Fraction)):
@@ -147,7 +154,25 @@ class Dist:
             x = as_point(x)
             c = semiring.add(w[x], semiring.coerce(c)) if x in w else semiring.coerce(c)
             w[x] = c
-        for x in [x for x, c in w.items() if c == semiring.zero]:
+        self._adopt(w, semiring)
+
+    @classmethod
+    def _of(cls, w: dict, semiring: Semiring) -> "Dist":
+        """The trusted constructor: adopt `w`, a fresh dict from canonical
+        points to canonical weights, dropping only its zero weights.
+
+        Operations whose points and weights come from existing Dists use
+        it instead of re-canonicalizing them; that relies on the
+        semiring's operations mapping canonical weights to canonical
+        weights, as both provided semirings do. `w` must not be shared.
+        """
+        self = object.__new__(cls)
+        self._adopt(w, semiring)
+        return self
+
+    def _adopt(self, w: dict, semiring: Semiring):
+        zero = semiring.zero
+        for x in [x for x, c in w.items() if c == zero]:
             del w[x]
         object.__setattr__(self, "semiring", semiring)
         object.__setattr__(self, "_w", w)
@@ -156,10 +181,13 @@ class Dist:
 
     @classmethod
     def empty(cls, semiring: Semiring = RATIONALS) -> "Dist":
-        return cls((), semiring)
+        return cls._of({}, semiring)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dist is immutable")
+
+    def __reduce__(self):
+        return (Dist, (dict(self._w), self.semiring))
 
     # -- canonical views ---------------------------------------------------
 
@@ -223,7 +251,7 @@ class Dist:
         if self.semiring.neg is None:
             raise TypeError(f"{self.semiring.name} distributions have no negation")
         neg = self.semiring.neg
-        return Dist(((x, neg(c)) for x, c in self._w.items()), self.semiring)
+        return Dist._of({x: neg(c) for x, c in self._w.items()}, self.semiring)
 
     def __mul__(self, c):
         return scale(c, self)
@@ -241,6 +269,18 @@ def _show_point(x) -> str:
     if isinstance(x, Right):
         return f"Right({_show_point(x.value)})"
     return repr(x)
+
+
+def _require_points(p: Dist, ok, message: str) -> Dist:
+    """Raise DomainError unless every support point passes `ok`.
+
+    The message names the first failing point in point order, so it does
+    not depend on how the distribution was built.
+    """
+    if not all(map(ok, p._w)):
+        x = next(x for x in p.support() if not ok(x))
+        raise DomainError(message.format(x))
+    return p
 
 
 def _same_semiring(p: Dist, q: Dist) -> Semiring:
@@ -261,7 +301,12 @@ def dirac(x, semiring: Semiring = RATIONALS) -> Dist:
 
 def pushforward(f, p: Dist) -> Dist:
     """Image distribution along f, summing weights of collapsed fibers."""
-    return Dist(((f(x), c) for x, c in p._w.items()), p.semiring)
+    sr = p.semiring
+    acc = {}
+    for x, c in p._w.items():
+        y = as_point(f(x))
+        acc[y] = sr.add(acc[y], c) if y in acc else c
+    return Dist._of(acc, sr)
 
 
 def flatten(pp: Dist) -> Dist:
@@ -279,7 +324,7 @@ def flatten(pp: Dist) -> Dist:
         for y, v in inner._w.items():
             w = sr.mul(c, v)
             acc[y] = sr.add(acc[y], w) if y in acc else w
-    return Dist(acc, sr)
+    return Dist._of(acc, sr)
 
 
 def total(p: Dist):
@@ -288,8 +333,9 @@ def total(p: Dist):
 
 
 def scale(c, p: Dist) -> Dist:
-    c = p.semiring.coerce(c)
-    return Dist(((x, p.semiring.mul(c, w)) for x, w in p._w.items()), p.semiring)
+    sr = p.semiring
+    c, mul = sr.coerce(c), sr.mul
+    return Dist._of({x: mul(c, w) for x, w in p._w.items()}, sr)
 
 
 def dist_add(p: Dist, q: Dist) -> Dist:
@@ -297,7 +343,7 @@ def dist_add(p: Dist, q: Dist) -> Dist:
     acc = dict(p._w)
     for x, c in q._w.items():
         acc[x] = sr.add(acc[x], c) if x in acc else c
-    return Dist(acc, sr)
+    return Dist._of(acc, sr)
 
 
 def dist_sub(p: Dist, q: Dist) -> Dist:
@@ -371,7 +417,7 @@ def biproduct_split(p: Dist) -> Tuple[Dist, Dist]:
             right[x.value] = c
         else:
             raise DomainError(f"point {x!r} carries no Left/Right tag")
-    return Dist(left, p.semiring), Dist(right, p.semiring)
+    return Dist._of(left, p.semiring), Dist._of(right, p.semiring)
 
 
 def biproduct_merge(p: Dist, q: Dist) -> Dist:
@@ -379,4 +425,4 @@ def biproduct_merge(p: Dist, q: Dist) -> Dist:
     sr = _same_semiring(p, q)
     merged = {Left(x): c for x, c in p._w.items()}
     merged.update({Right(y): c for y, c in q._w.items()})
-    return Dist(merged, sr)
+    return Dist._of(merged, sr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .dist import (
@@ -171,7 +172,11 @@ def gen_dist(rng, cfg, space: FiniteSpace, semiring: Semiring = RATIONALS,
 
 
 def _line_candidates(cfg) -> tuple:
-    b = cfg.coefficient_bound
+    return _line_pool(cfg.coefficient_bound)
+
+
+@lru_cache(maxsize=None)
+def _line_pool(b: int) -> tuple:
     pool = {Fraction(n, d) for n in range(-b, b + 1) for d in (1, 2, 3)}
     return tuple(sorted(pool))
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .dist import (
     Dist,
+    _require_points,
     dirac,
     dist_sub,
     flatten,
@@ -34,10 +35,9 @@ _rational = RATIONALS.coerce
 def _require_line(p: Dist) -> Dist:
     if p.semiring.name != "rational":
         raise DomainError("line calculus needs rational weights")
-    for x in p.support():
-        if not isinstance(x, Fraction):
-            raise DomainError(f"support point {x!r} is not a rational")
-    return p
+    return _require_points(
+        p, lambda x: isinstance(x, Fraction), "support point {!r} is not a rational"
+    )
 
 
 class AffineMap(FrozenValue):
@@ -192,7 +192,7 @@ def primitive(q: Dist, step: Step) -> Dist:
                 steps = int(nxt[0] - t)
                 for j in range(steps):
                     out[(t + j) * d] = -d * prefix
-    return Dist(out)
+    return Dist._of(out, RATIONALS)
 
 
 def interval(a, b, step: Step) -> Dist:
@@ -211,8 +211,8 @@ def interval(a, b, step: Step) -> Dist:
         )
     n = n.numerator
     if n >= 0:
-        return Dist({a + k * d: d for k in range(n)})
-    return Dist({b + k * d: -d for k in range(-n)})
+        return Dist._of({a + k * d: d for k in range(n)}, RATIONALS)
+    return Dist._of({b + k * d: -d for k in range(-n)}, RATIONALS)
 
 
 def leibniz_residual(p: Dist, phi, step: Step) -> Dist:

@@ -141,8 +141,9 @@ def eval_at_eta(functional: Functional) -> Dist:
 def fn_action(p: Dist, phi) -> Dist:
     """Reweight p pointwise by a scalar-valued function: {x: p(x)*phi(x)}."""
     sr = p.semiring
-    return Dist(
-        ((x, sr.mul(c, sr.coerce(apply_fn(phi, x)))) for x, c in p.items()), sr
+    mul, coerce = sr.mul, sr.coerce
+    return Dist._of(
+        {x: mul(c, coerce(apply_fn(phi, x))) for x, c in p._w.items()}, sr
     )
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dist import Dist, pushforward, scale, total
-from .errors import ConditioningError, DomainError, NormalizationError
+from .dist import Dist, _require_points, pushforward, scale, total
+from .errors import ConditioningError, NormalizationError
 from .pairing import apply_fn, fn_action, pair
 from .scalars import RATIONALS, Semiring
 from .strength import FunTable, tensor
@@ -80,9 +80,9 @@ def joint(p: Dist, q: Dist) -> Dist:
 
 def marginals(j: Dist) -> tuple[Dist, Dist]:
     """Project a distribution over pairs onto its two coordinates."""
-    for x in j.support():
-        if not isinstance(x, tuple):
-            raise DomainError(f"marginals need pair points, got {x!r}")
+    _require_points(
+        j, lambda x: isinstance(x, tuple), "marginals need pair points, got {!r}"
+    )
     return (
         pushforward(lambda xy: xy[0], j),
         pushforward(lambda xy: xy[1], j),
@@ -102,11 +102,13 @@ def rv_sum(j: Dist) -> Dist:
     correlated joint it is still defined, and expectation remains the
     sum of the marginal expectations.
     """
-    for x in j.support():
-        if not (
+    _require_points(
+        j,
+        lambda x: (
             isinstance(x, tuple)
             and isinstance(x[0], Fraction)
             and isinstance(x[1], Fraction)
-        ):
-            raise DomainError(f"rv_sum needs rational pair points, got {x!r}")
+        ),
+        "rv_sum needs rational pair points, got {!r}",
+    )
     return pushforward(lambda xy: xy[0] + xy[1], j)

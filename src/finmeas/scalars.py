@@ -39,6 +39,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def _coerce_rational(value) -> Fraction:
+    if value.__class__ is Fraction:
+        return value
     if isinstance(value, bool):
         return Fraction(int(value))
     if isinstance(value, (int, Fraction)):
@@ -51,7 +53,7 @@ def _coerce_rational(value) -> Fraction:
 def _coerce_boolean(value) -> bool:
     if isinstance(value, bool):
         return value
-    if value in (0, 1):
+    if isinstance(value, (int, Fraction)) and value in (0, 1):
         return bool(value)
     raise TypeError(f"cannot use {value!r} as a boolean scalar")
 
@@ -135,6 +137,15 @@ class Semiring(FrozenValue):
 
     def __repr__(self):
         return f"Semiring({self.name})"
+
+    def __reduce__(self):
+        # The module-level semirings copy and pickle by name, so they come
+        # back as the same object (their operations are lambdas, which
+        # pickle cannot serialize). Other instances copy field by field.
+        for name, value in globals().items():
+            if value is self:
+                return name
+        return super().__reduce__()
 
 
 def _rational_inv(a: Fraction) -> Fraction:

@@ -39,6 +39,8 @@ class FunTable:
 
     def __init__(self, domain: FiniteSpace, mapping: Mapping):
         table = {as_point(x): v for x, v in mapping.items()}
+        for v in table.values():
+            as_point(v)  # values are points too; this rejects floats
         if set(table) != set(domain.elements):
             raise DomainError("table must be defined on exactly the domain")
         object.__setattr__(self, "domain", domain)
@@ -46,6 +48,9 @@ class FunTable:
 
     def __setattr__(self, name, value):
         raise AttributeError("FunTable is immutable")
+
+    def __reduce__(self):
+        return (FunTable, (self.domain, self._map))
 
     def __call__(self, x):
         x = as_point(x)
@@ -102,21 +107,21 @@ def strength_left(x, q: Dist) -> Dist:
     """Let the plain point x ride along on the left of the distribution q:
     the distribution {(x, y): q(y)}."""
     x = as_point(x)
-    return Dist((((x, y), c) for y, c in q.items()), q.semiring)
+    return Dist._of({(x, y): c for y, c in q._w.items()}, q.semiring)
 
 
 def strength_right(p: Dist, y) -> Dist:
     """Mirror of strength_left: {(x, y): p(x)} for a fixed right point y."""
     y = as_point(y)
-    return Dist((((x, y), c) for x, c in p.items()), p.semiring)
+    return Dist._of({(x, y): c for x, c in p._w.items()}, p.semiring)
 
 
 def tensor(p: Dist, q: Dist) -> Dist:
     """Product distribution {(x, y): p(x)*q(y)} (the direct formula)."""
     sr = _same_semiring(p, q)
-    return Dist(
-        (((x, y), sr.mul(c, d)) for x, c in p.items() for y, d in q.items()),
-        sr,
+    mul, q_items = sr.mul, q._w.items()
+    return Dist._of(
+        {(x, y): mul(c, d) for x, c in p._w.items() for y, d in q_items}, sr
     )
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from finmeas import BOOLEANS, Dist, FiniteSpace
+from finmeas import BOOLEANS, Dist, FiniteSpace, Left, Right
 
 
 @pytest.fixture
@@ -40,3 +40,11 @@ def line_dists(max_size=3):
 
 def nested_dists(atoms="abc"):
     return st.dictionaries(atom_dists(atoms), small_fractions(), max_size=3).map(Dist)
+
+
+def tagged_dists(atoms="abc"):
+    """Distributions over Left-tagged atoms and Right-tagged rationals."""
+    points = st.one_of(
+        st.sampled_from(list(atoms)).map(Left), small_fractions().map(Right)
+    )
+    return st.dictionaries(points, small_fractions(), max_size=3).map(Dist)
