@@ -10,6 +10,7 @@ construction promises is checkable, exactly, through `finmeas.laws`.
 from .dist import (
     Dist,
     FiniteSpace,
+    FunTable,
     Left,
     Right,
     biproduct_merge,
@@ -80,7 +81,6 @@ from .probability import (
 from .quantities import UnitTagged, from_pure, rescale_unit, to_pure
 from .scalars import BOOLEANS, RATIONALS, Semiring, format_rational, parse_rational
 from .strength import (
-    FunTable,
     check_1linear,
     check_2linear,
     check_bilinear,

@@ -11,7 +11,7 @@ deterministically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, Mapping, Tuple
 
 from .errors import DomainError
 from .scalars import RATIONALS, FrozenValue, Semiring
@@ -84,6 +84,64 @@ class FiniteSpace:
         return f"FiniteSpace({list(self.elements)!r})"
 
 
+class FunTable:
+    """A total function on a FiniteSpace, given by an explicit table.
+
+    Tables are immutable and hashable, so a distribution over function
+    tables is itself a valid Dist. Calling a table outside its domain is
+    a DomainError.
+    """
+
+    __slots__ = ("domain", "_map")
+
+    def __init__(self, domain: FiniteSpace, mapping: Mapping):
+        table = {as_point(x): v for x, v in mapping.items()}
+        for v in table.values():
+            as_point(v)  # values are points too; this rejects floats
+        if set(table) != set(domain.elements):
+            raise DomainError("table must be defined on exactly the domain")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_map", table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FunTable is immutable")
+
+    def __reduce__(self):
+        return (FunTable, (self.domain, self._map))
+
+    def __call__(self, x):
+        x = as_point(x)
+        if x not in self._map:
+            raise DomainError(f"{x!r} is outside the table's domain")
+        return self._map[x]
+
+    def items(self):
+        return tuple((x, self._map[x]) for x in self.domain)
+
+    def values(self):
+        return tuple(self._map[x] for x in self.domain)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FunTable)
+            and self.domain == other.domain
+            and self._map == other._map
+        )
+
+    def __hash__(self):
+        return hash((self.domain, self.values()))
+
+    def _order_key(self):
+        return (
+            tuple(point_key(x) for x in self.domain),
+            tuple(point_key(v) for v in self.values()),
+        )
+
+    def __repr__(self):
+        body = ", ".join(f"{x!r}: {v!r}" for x, v in self.items())
+        return f"FunTable({{{body}}})"
+
+
 def as_point(x):
     """Canonicalize a value into the point universe.
 
@@ -112,7 +170,7 @@ def as_point(x):
         return Right(as_point(x.value))
     if isinstance(x, Dist):
         return x
-    if hasattr(x, "_point_key"):
+    if isinstance(x, FunTable):
         return x
     raise TypeError(f"{x!r} is not in the point universe")
 
@@ -131,8 +189,8 @@ def point_key(x):
         return (3, 1, point_key(x.value))
     if isinstance(x, Dist):
         return (4, x._order_key())
-    if hasattr(x, "_point_key"):
-        return (5, type(x).__name__, x._point_key())
+    if isinstance(x, FunTable):
+        return (5, x._order_key())
     raise TypeError(f"{x!r} is not in the point universe")
 
 

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dist import Dist, FiniteSpace, Left, Right, as_point, point_key
+from .dist import Dist, FiniteSpace, FunTable, Left, Right, as_point, point_key
 from .errors import ParseError
 from .scalars import RATIONAL_RE, format_rational, parse_rational
-from .strength import FunTable
 
 
 def point_to_json(x):

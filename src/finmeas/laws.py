@@ -6,6 +6,16 @@ scalar instance must not be wired into this harness.) Checks refute
 rather than prove: each law draws `cases` samples from a stream derived
 from (seed, law name), so runs are reproducible and parallelizable
 without changing results.
+
+A law's case is a generator `case(rng, cfg)`. It draws its inputs from
+`rng` and yields equations `(inputs, description, lhs, rhs)`, where
+`inputs` maps a name to a drawn value, e.g. {"P": p, "Q": q}. `run_law`
+is the one place that compares: it checks each equation with == as it
+is yielded and stops at the first mismatch, which it reports as
+
+    NAME=value, ...; description: lhs!r != rhs!r
+
+with a Fraction input shown by str and any other input by repr.
 """
 
 from __future__ import annotations
@@ -13,12 +23,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .dist import (
     Dist,
     FiniteSpace,
+    FunTable,
     biproduct_merge,
     biproduct_split,
     dirac,
@@ -30,7 +41,7 @@ from .dist import (
     scale,
     total,
 )
-from .errors import NoPrimitiveError, SelectionError
+from .errors import SelectionError
 from .line import (
     AffineMap,
     Step,
@@ -72,7 +83,6 @@ from .probability import (
 from .quantities import UnitTagged, from_pure, rescale_unit, to_pure
 from .scalars import BOOLEANS, RATIONALS, Semiring
 from .strength import (
-    FunTable,
     check_1linear,
     check_2linear,
     check_bilinear,
@@ -111,6 +121,8 @@ class GenConfig:
             raise ValueError("cases must be at least 1")
         if self.max_support < 1:
             raise ValueError("max_support must be at least 1")
+        if self.coefficient_bound < 1:
+            raise ValueError("coefficient_bound must be at least 1")
         if not 1 <= self.space_size <= 5:
             raise ValueError("space_size must be between 1 and 5")
 
@@ -171,10 +183,6 @@ def gen_dist(rng, cfg, space: FiniteSpace, semiring: Semiring = RATIONALS,
     return Dist(((x, gen_scalar(rng, cfg, semiring)) for x in points), semiring)
 
 
-def _line_candidates(cfg) -> tuple:
-    return _line_pool(cfg.coefficient_bound)
-
-
 @lru_cache(maxsize=None)
 def _line_pool(b: int) -> tuple:
     pool = {Fraction(n, d) for n in range(-b, b + 1) for d in (1, 2, 3)}
@@ -182,12 +190,12 @@ def _line_pool(b: int) -> tuple:
 
 
 def gen_rational_point(rng, cfg) -> Fraction:
-    return rng.choice(_line_candidates(cfg))
+    return rng.choice(_line_pool(cfg.coefficient_bound))
 
 
 def gen_line_dist(rng, cfg, min_support=0) -> Dist:
     k = rng.randint(min_support, cfg.max_support)
-    points = rng.sample(_line_candidates(cfg), k)
+    points = rng.sample(_line_pool(cfg.coefficient_bound), k)
     return Dist((x, gen_scalar(rng, cfg)) for x in points)
 
 
@@ -230,32 +238,30 @@ def gen_dist_table(rng, cfg, domain: FiniteSpace, codomain: FiniteSpace,
     )
 
 
-def gen_prob_dist(rng, cfg, space: FiniteSpace) -> Dist:
-    """A signed distribution with total exactly 1."""
-    k = rng.randint(1, min(cfg.max_support, len(space)))
-    points = rng.sample(space.elements, k)
+def _total_one(rng, cfg, points) -> Dist:
+    """Random weights on `points` whose last weight makes the total 1."""
     weights = [gen_scalar(rng, cfg) for _ in points[:-1]]
     weights.append(1 - sum(weights))
     return Dist(zip(points, weights))
+
+
+def gen_prob_dist(rng, cfg, space: FiniteSpace) -> Dist:
+    """A signed distribution with total exactly 1."""
+    k = rng.randint(1, min(cfg.max_support, len(space)))
+    return _total_one(rng, cfg, rng.sample(space.elements, k))
 
 
 def gen_prob_line_dist(rng, cfg) -> Dist:
     k = rng.randint(1, cfg.max_support)
-    points = rng.sample(_line_candidates(cfg), k)
-    weights = [gen_scalar(rng, cfg) for _ in points[:-1]]
-    weights.append(1 - sum(weights))
-    return Dist(zip(points, weights))
+    return _total_one(rng, cfg, rng.sample(_line_pool(cfg.coefficient_bound), k))
 
 
 def gen_prob_pair_dist(rng, cfg) -> Dist:
     """A total-1 joint over rational pairs, usually correlated."""
-    candidates = _line_candidates(cfg)
+    candidates = _line_pool(cfg.coefficient_bound)
     k = rng.randint(1, cfg.max_support)
     points = {(rng.choice(candidates), rng.choice(candidates)) for _ in range(k)}
-    points = sorted(points)
-    weights = [gen_scalar(rng, cfg) for _ in points[:-1]]
-    weights.append(1 - sum(weights))
-    return Dist(zip(points, weights))
+    return _total_one(rng, cfg, sorted(points))
 
 
 def gen_nonzero_total_line_dist(rng, cfg) -> Dist:
@@ -319,7 +325,7 @@ def gen_balanced_line_dist(rng, cfg, step: Step) -> Dist:
     return acc
 
 
-# -- the registry --------------------------------------------------------------
+# -- the registry and the runner ---------------------------------------------------
 
 
 @dataclass
@@ -334,6 +340,10 @@ LAWS: "dict[str, Law]" = {}
 
 
 def law(name: str, statement: str, deterministic: bool = False):
+    """Register `case(rng, cfg)`, a generator of equations, as law `name`."""
+    if name in LAWS:
+        raise ValueError(f"law {name!r} is already registered")
+
     def register(fn):
         LAWS[name] = Law(name, statement, fn, deterministic)
         return fn
@@ -341,10 +351,13 @@ def law(name: str, statement: str, deterministic: bool = False):
     return register
 
 
-def _neq(desc: str, lhs, rhs) -> Optional[str]:
-    if lhs == rhs:
-        return None
-    return f"{desc}: {lhs!r} != {rhs!r}"
+def _counterexample(inputs: dict, desc: str, lhs, rhs) -> str:
+    shown = ", ".join(
+        f"{k}={v}" if isinstance(v, Fraction) else f"{k}={v!r}"
+        for k, v in inputs.items()
+    )
+    head = f"{shown}; " if shown else ""
+    return f"{head}{desc}: {lhs!r} != {rhs!r}"
 
 
 def run_law(name: str, cfg: GenConfig) -> LawReport:
@@ -356,9 +369,10 @@ def run_law(name: str, cfg: GenConfig) -> LawReport:
     rng = random.Random(f"{cfg.seed}:{name}")
     n = 1 if entry.deterministic else cfg.cases
     for i in range(1, n + 1):
-        bad = entry.case(rng, cfg)
-        if bad is not None:
-            return LawReport(name, entry.statement, i, False, bad)
+        for inputs, desc, lhs, rhs in entry.case(rng, cfg):
+            if not lhs == rhs:
+                return LawReport(name, entry.statement, i, False,
+                                 _counterexample(inputs, desc, lhs, rhs))
     return LawReport(name, entry.statement, n, True)
 
 
@@ -376,22 +390,16 @@ def run_suite(cfg: GenConfig, selection=None) -> list:
 def _scalar_field_laws(rng, cfg):
     sr = RATIONALS
     a, b, c = (gen_scalar(rng, cfg, nonzero=False) for _ in range(3))
-    checks = [
-        _neq("(a+b)+c = a+(b+c)", sr.add(sr.add(a, b), c), sr.add(a, sr.add(b, c))),
-        _neq("a+b = b+a", sr.add(a, b), sr.add(b, a)),
-        _neq("(ab)c = a(bc)", sr.mul(sr.mul(a, b), c), sr.mul(a, sr.mul(b, c))),
-        _neq("ab = ba", sr.mul(a, b), sr.mul(b, a)),
-        _neq("a(b+c) = ab+ac", sr.mul(a, sr.add(b, c)),
-             sr.add(sr.mul(a, b), sr.mul(a, c))),
-        _neq("0*a = 0", sr.mul(sr.zero, a), sr.zero),
-        _neq("a-a = 0", sr.sub(a, a), sr.zero),
-    ]
+    ins = {"a": a, "b": b, "c": c}
+    yield ins, "(a+b)+c = a+(b+c)", sr.add(sr.add(a, b), c), sr.add(a, sr.add(b, c))
+    yield ins, "a+b = b+a", sr.add(a, b), sr.add(b, a)
+    yield ins, "(ab)c = a(bc)", sr.mul(sr.mul(a, b), c), sr.mul(a, sr.mul(b, c))
+    yield ins, "ab = ba", sr.mul(a, b), sr.mul(b, a)
+    yield ins, "a(b+c) = ab+ac", sr.mul(a, sr.add(b, c)), sr.add(sr.mul(a, b), sr.mul(a, c))
+    yield ins, "0*a = 0", sr.mul(sr.zero, a), sr.zero
+    yield ins, "a-a = 0", sr.sub(a, a), sr.zero
     if a != 0:
-        checks.append(_neq("a * (1/a) = 1", sr.mul(a, sr.inv(a)), sr.one))
-    for bad in checks:
-        if bad:
-            return f"a={a}, b={b}, c={c}; {bad}"
-    return None
+        yield ins, "a * (1/a) = 1", sr.mul(a, sr.inv(a)), sr.one
 
 
 @law("boolean_rig_laws",
@@ -399,70 +407,42 @@ def _scalar_field_laws(rng, cfg):
 def _boolean_rig_laws(rng, cfg):
     sr = BOOLEANS
     a, b, c = (rng.choice((False, True)) for _ in range(3))
-    checks = [
-        _neq("(a+b)+c = a+(b+c)", sr.add(sr.add(a, b), c), sr.add(a, sr.add(b, c))),
-        _neq("a+b = b+a", sr.add(a, b), sr.add(b, a)),
-        _neq("(ab)c = a(bc)", sr.mul(sr.mul(a, b), c), sr.mul(a, sr.mul(b, c))),
-        _neq("ab = ba", sr.mul(a, b), sr.mul(b, a)),
-        _neq("a(b+c) = ab+ac", sr.mul(a, sr.add(b, c)),
-             sr.add(sr.mul(a, b), sr.mul(a, c))),
-        _neq("0*a = 0", sr.mul(sr.zero, a), sr.zero),
-        _neq("1*a = a", sr.mul(sr.one, a), a),
-        _neq("0+a = a", sr.add(sr.zero, a), a),
-        _neq("neg is absent", sr.is_ring, False),
-        _neq("inv is absent", sr.has_inverses, False),
-    ]
-    for bad in checks:
-        if bad:
-            return f"a={a}, b={b}, c={c}; {bad}"
-    return None
-
-
-def _monad_law_case(rng, cfg, semiring):
-    sp = space_a(cfg)
-    p = gen_dist(rng, cfg, sp, semiring)
-    unit_outer = flatten(dirac(p, semiring))
-    unit_inner = flatten(pushforward(lambda x: dirac(x, semiring), p))
-    bad = _neq("flatten(dirac(P)) = P", unit_outer, p) or _neq(
-        "flatten(map dirac P) = P", unit_inner, p
-    )
-    if bad:
-        return f"P={p!r}; {bad}"
-    ppp = gen_nested(rng, cfg, sp, semiring, depth=3)
-    bad = _neq(
-        "flatten.flatten = flatten.map(flatten)",
-        flatten(flatten(ppp)),
-        flatten(pushforward(flatten, ppp)),
-    )
-    if bad:
-        return f"PPP={ppp!r}; {bad}"
-    return None
+    ins = {"a": a, "b": b, "c": c}
+    yield ins, "(a+b)+c = a+(b+c)", sr.add(sr.add(a, b), c), sr.add(a, sr.add(b, c))
+    yield ins, "a+b = b+a", sr.add(a, b), sr.add(b, a)
+    yield ins, "(ab)c = a(bc)", sr.mul(sr.mul(a, b), c), sr.mul(a, sr.mul(b, c))
+    yield ins, "ab = ba", sr.mul(a, b), sr.mul(b, a)
+    yield ins, "a(b+c) = ab+ac", sr.mul(a, sr.add(b, c)), sr.add(sr.mul(a, b), sr.mul(a, c))
+    yield ins, "0*a = 0", sr.mul(sr.zero, a), sr.zero
+    yield ins, "1*a = a", sr.mul(sr.one, a), a
+    yield ins, "0+a = a", sr.add(sr.zero, a), a
+    yield ins, "neg is absent", sr.is_ring, False
+    yield ins, "inv is absent", sr.has_inverses, False
 
 
 @law("monad_laws",
      "flatten and dirac satisfy the unit and associativity laws of a monad")
-def _monad_laws(rng, cfg):
-    return _monad_law_case(rng, cfg, RATIONALS)
+def _monad_laws(rng, cfg, semiring=RATIONALS):
+    sp = space_a(cfg)
+    p = gen_dist(rng, cfg, sp, semiring)
+    yield {"P": p}, "flatten(dirac(P)) = P", flatten(dirac(p, semiring)), p
+    yield ({"P": p}, "flatten(map dirac P) = P",
+           flatten(pushforward(lambda x: dirac(x, semiring), p)), p)
+    ppp = gen_nested(rng, cfg, sp, semiring, depth=3)
+    yield ({"PPP": ppp}, "flatten.flatten = flatten.map(flatten)",
+           flatten(flatten(ppp)), flatten(pushforward(flatten, ppp)))
 
 
-def _functor_law_case(rng, cfg, semiring):
+@law("functor_laws", "pushforward preserves identities and composition")
+def _functor_laws(rng, cfg, semiring=RATIONALS):
     sa, sb, sc = space_a(cfg), space_b(cfg), space_c(cfg)
     p = gen_dist(rng, cfg, sa, semiring)
     f = gen_map(rng, sa, sb)
     g = gen_map(rng, sb, sc)
-    bad = _neq("pushforward(id) = id", pushforward(lambda x: x, p), p) or _neq(
-        "pushforward(g.f) = pushforward(g).pushforward(f)",
-        pushforward(lambda x: g(f(x)), p),
-        pushforward(g, pushforward(f, p)),
-    )
-    if bad:
-        return f"P={p!r}, f={f!r}, g={g!r}; {bad}"
-    return None
-
-
-@law("functor_laws", "pushforward preserves identities and composition")
-def _functor_laws(rng, cfg):
-    return _functor_law_case(rng, cfg, RATIONALS)
+    ins = {"P": p, "f": f, "g": g}
+    yield ins, "pushforward(id) = id", pushforward(lambda x: x, p), p
+    yield (ins, "pushforward(g.f) = pushforward(g).pushforward(f)",
+           pushforward(lambda x: g(f(x)), p), pushforward(g, pushforward(f, p)))
 
 
 @law("total_pushforward", "total(pushforward(f, P)) = total(P) for every f")
@@ -470,8 +450,7 @@ def _total_pushforward(rng, cfg):
     sa, sb = space_a(cfg), space_b(cfg)
     p = gen_dist(rng, cfg, sa)
     f = gen_map(rng, sa, sb)
-    bad = _neq("total is pushforward-invariant", total(pushforward(f, p)), total(p))
-    return f"P={p!r}, f={f!r}; {bad}" if bad else None
+    yield {"P": p, "f": f}, "total is pushforward-invariant", total(pushforward(f, p)), total(p)
 
 
 @law("linear_extension",
@@ -484,19 +463,13 @@ def _linear_extension(rng, cfg):
     p, q = gen_dist(rng, cfg, sa), gen_dist(rng, cfg, sa)
     c = gen_scalar(rng, cfg)
     x = rng.choice(sa.elements)
-    checks = [
-        _neq("ext(dirac(x)) = f(x)", ext(dirac(x)), f(x)),
-        _neq("ext = flatten.pushforward(f)", ext(p), flatten(pushforward(f, p))),
-        _neq("ext(P+Q) = ext(P)+ext(Q)", ext(dist_add(p, q)),
-             dist_add(ext(p), ext(q))),
-        _neq("ext(cP) = c ext(P)", ext(scale(c, p)), scale(c, ext(p))),
-        _neq("extension of dirac is the identity",
-             linear_extend(lambda y: dirac(y), p, zero=Dist.empty()), p),
-    ]
-    for bad in checks:
-        if bad:
-            return f"P={p!r}, Q={q!r}, c={c}, f={f!r}; {bad}"
-    return None
+    ins = {"P": p, "Q": q, "c": c, "x": x, "f": f}
+    yield ins, "ext(dirac(x)) = f(x)", ext(dirac(x)), f(x)
+    yield ins, "ext = flatten.pushforward(f)", ext(p), flatten(pushforward(f, p))
+    yield ins, "ext(P+Q) = ext(P)+ext(Q)", ext(dist_add(p, q)), dist_add(ext(p), ext(q))
+    yield ins, "ext(cP) = c ext(P)", ext(scale(c, p)), scale(c, ext(p))
+    yield (ins, "extension of dirac is the identity",
+           linear_extend(lambda y: dirac(y), p, zero=Dist.empty()), p)
 
 
 @law("biproduct",
@@ -509,22 +482,14 @@ def _biproduct(rng, cfg):
     a2, b2 = biproduct_split(m)
     c = gen_scalar(rng, cfg)
     a3, b3 = gen_dist(rng, cfg, sa), gen_dist(rng, cfg, sb)
-    m3 = biproduct_merge(a3, b3)
-    sl, sr_ = biproduct_split(dist_add(m, m3))
-    checks = [
-        _neq("split(merge(A,B)) = (A,B)", (a2, b2), (a, b)),
-        _neq("merge(split(M)) = M", biproduct_merge(a2, b2), m),
-        _neq("total(merge) = total(A)+total(B)", total(m), total(a) + total(b)),
-        _neq("split respects +", (sl, sr_), (dist_add(a, a3), dist_add(b, b3))),
-        _neq("split respects scale", biproduct_split(scale(c, m)),
-             (scale(c, a), scale(c, b))),
-        _neq("merge(0,0) = 0", biproduct_merge(Dist.empty(), Dist.empty()),
-             Dist.empty()),
-    ]
-    for bad in checks:
-        if bad:
-            return f"A={a!r}, B={b!r}; {bad}"
-    return None
+    ins = {"A": a, "B": b, "c": c, "A3": a3, "B3": b3}
+    yield ins, "split(merge(A,B)) = (A,B)", (a2, b2), (a, b)
+    yield ins, "merge(split(M)) = M", biproduct_merge(a2, b2), m
+    yield ins, "total(merge) = total(A)+total(B)", total(m), total(a) + total(b)
+    yield (ins, "split respects +", biproduct_split(dist_add(m, biproduct_merge(a3, b3))),
+           (dist_add(a, a3), dist_add(b, b3)))
+    yield ins, "split respects scale", biproduct_split(scale(c, m)), (scale(c, a), scale(c, b))
+    yield ins, "merge(0,0) = 0", biproduct_merge(Dist.empty(), Dist.empty()), Dist.empty()
 
 
 @law("additivity",
@@ -541,31 +506,22 @@ def _additivity(rng, cfg):
         ("scale", lambda r: scale(c, r)),
         ("reweight", lambda r: fn_action(r, phi)),
     ]
+    ins = {"P": p, "Q": q, "c": c}
     for name, g in linear_maps:
-        bad = _neq(f"{name} additive", g(dist_add(p, q)), dist_add(g(p), g(q))) or _neq(
-            f"{name} homogeneous", g(scale(c, p)), scale(c, g(p))
-        )
-        if bad:
-            return f"P={p!r}, Q={q!r}, c={c}; {bad}"
+        yield ins, f"{name} additive", g(dist_add(p, q)), dist_add(g(p), g(q))
+        yield ins, f"{name} homogeneous", g(scale(c, p)), scale(c, g(p))
     r, s = gen_dist(rng, cfg, sb), gen_dist(rng, cfg, sb)
-    bad = (
-        _neq("tensor left-additive", tensor(dist_add(p, q), r),
-             dist_add(tensor(p, r), tensor(q, r)))
-        or _neq("tensor right-additive", tensor(p, dist_add(r, s)),
-                dist_add(tensor(p, r), tensor(p, s)))
-        or _neq("pairing additive in P",
-                pair(dist_add(p, q), phi, zero=Fraction(0)),
-                pair(p, phi, zero=Fraction(0)) + pair(q, phi, zero=Fraction(0)))
-    )
-    if bad:
-        return f"P={p!r}, Q={q!r}, R={r!r}, S={s!r}; {bad}"
+    ins = {"P": p, "Q": q, "R": r, "S": s}
+    yield (ins, "tensor left-additive", tensor(dist_add(p, q), r),
+           dist_add(tensor(p, r), tensor(q, r)))
+    yield (ins, "tensor right-additive", tensor(p, dist_add(r, s)),
+           dist_add(tensor(p, r), tensor(p, s)))
+    yield (ins, "pairing additive in P", pair(dist_add(p, q), phi, zero=Fraction(0)),
+           pair(p, phi, zero=Fraction(0)) + pair(q, phi, zero=Fraction(0)))
     lp, lq = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
     lr = gen_line_dist(rng, cfg)
-    bad = _neq("convolution left-additive", convolve(dist_add(lp, lq), lr),
-               dist_add(convolve(lp, lr), convolve(lq, lr)))
-    if bad:
-        return f"P={lp!r}, Q={lq!r}, R={lr!r}; {bad}"
-    return None
+    yield ({"P": lp, "Q": lq, "R": lr}, "convolution left-additive",
+           convolve(dist_add(lp, lq), lr), dist_add(convolve(lp, lr), convolve(lq, lr)))
 
 
 @law("linearity_closure",
@@ -587,9 +543,7 @@ def _linearity_closure(rng, cfg):
     ]
     for name, g in combined:
         mix = gen_nested(rng, cfg, sa, depth=2)
-        if not check_linear(g, [mix]):
-            return f"{name} failed linearity on mixture {mix!r}"
-    return None
+        yield {"mix": mix}, f"{name} is linear on the mixture", check_linear(g, [mix]), True
 
 
 @law("scale_equivariance",
@@ -600,21 +554,15 @@ def _scale_equivariance(rng, cfg):
     c = gen_scalar(rng, cfg)
     p = gen_dist(rng, cfg, sa)
     f = gen_map(rng, sa, sb)
-    bad = _neq("pushforward equivariant", pushforward(f, scale(c, p)),
-               scale(c, pushforward(f, p)))
-    if bad:
-        return f"P={p!r}, c={c}; {bad}"
+    yield ({"P": p, "c": c, "f": f}, "pushforward equivariant",
+           pushforward(f, scale(c, p)), scale(c, pushforward(f, p)))
     pp = gen_nested(rng, cfg, sa, depth=2)
-    bad = _neq("flatten equivariant", flatten(scale(c, pp)), scale(c, flatten(pp)))
-    if bad:
-        return f"PP={pp!r}, c={c}; {bad}"
+    yield ({"PP": pp, "c": c}, "flatten equivariant",
+           flatten(scale(c, pp)), scale(c, flatten(pp)))
     lp = gen_line_dist(rng, cfg)
     step = gen_step(rng)
-    bad = _neq("derivative equivariant", derivative(scale(c, lp), step),
-               scale(c, derivative(lp, step)))
-    if bad:
-        return f"P={lp!r}, c={c}, d={step.d}; {bad}"
-    return None
+    yield ({"P": lp, "c": c, "d": step.d}, "derivative equivariant",
+           derivative(scale(c, lp), step), scale(c, derivative(lp, step)))
 
 
 # -- strength and Fubini laws ---------------------------------------------------
@@ -627,20 +575,13 @@ def _strength_units(rng, cfg):
     sa, sb = space_a(cfg), space_b(cfg)
     x, y = rng.choice(sa.elements), rng.choice(sb.elements)
     q = gen_dist(rng, cfg, sb)
-    checks = [
-        _neq("strength_left(x, dirac(y)) = dirac((x,y))",
-             strength_left(x, dirac(y)), dirac((x, y))),
-        _neq("strength_right(dirac(x), y) = dirac((x,y))",
-             strength_right(dirac(x), y), dirac((x, y))),
-        _neq("strength_left = tensor against dirac",
-             strength_left(x, q), tensor(dirac(x), q)),
-        _neq("strength_left(x, 0) = 0", strength_left(x, Dist.empty()),
-             Dist.empty()),
-    ]
-    for bad in checks:
-        if bad:
-            return f"x={x!r}, y={y!r}, Q={q!r}; {bad}"
-    return None
+    ins = {"x": x, "y": y, "Q": q}
+    yield (ins, "strength_left(x, dirac(y)) = dirac((x,y))",
+           strength_left(x, dirac(y)), dirac((x, y)))
+    yield (ins, "strength_right(dirac(x), y) = dirac((x,y))",
+           strength_right(dirac(x), y), dirac((x, y)))
+    yield ins, "strength_left = tensor against dirac", strength_left(x, q), tensor(dirac(x), q)
+    yield ins, "strength_left(x, 0) = 0", strength_left(x, Dist.empty()), Dist.empty()
 
 
 @law("strength_pentagons",
@@ -649,13 +590,12 @@ def _strength_pentagons(rng, cfg):
     sa, sb = space_a(cfg), space_b(cfg)
     x = rng.choice(sa.elements)
     qq = gen_nested(rng, cfg, sb, depth=2)
-    if not check_2linear(strength_left, [(x, qq)]):
-        return f"strength_left pentagon failed at x={x!r}, QQ={qq!r}"
+    yield ({"x": x, "QQ": qq}, "strength_left pentagon",
+           check_2linear(strength_left, [(x, qq)]), True)
     y = rng.choice(sb.elements)
     pp = gen_nested(rng, cfg, sa, depth=2)
-    if not check_1linear(strength_right, [(pp, y)]):
-        return f"strength_right pentagon failed at PP={pp!r}, y={y!r}"
-    return None
+    yield ({"PP": pp, "y": y}, "strength_right pentagon",
+           check_1linear(strength_right, [(pp, y)]), True)
 
 
 @law("extension_triangles",
@@ -667,18 +607,11 @@ def _extension_triangles(rng, cfg):
     }
     f = lambda x, y: values[(x, y)]
     x, y = rng.choice(sa.elements), rng.choice(sb.elements)
-    ext2 = extend_2linear(f, zero=Dist.empty())
-    ext1 = extend_1linear(f, zero=Dist.empty())
-    extb = extend_bilinear(f, zero=Dist.empty())
-    checks = [
-        _neq("2-linear triangle", ext2(x, dirac(y)), f(x, y)),
-        _neq("1-linear triangle", ext1(dirac(x), y), f(x, y)),
-        _neq("bilinear triangle", extb(dirac(x), dirac(y)), f(x, y)),
-    ]
-    for bad in checks:
-        if bad:
-            return f"x={x!r}, y={y!r}; {bad}"
-    return None
+    ins = {"x": x, "y": y}
+    yield ins, "2-linear triangle", extend_2linear(f, zero=Dist.empty())(x, dirac(y)), f(x, y)
+    yield ins, "1-linear triangle", extend_1linear(f, zero=Dist.empty())(dirac(x), y), f(x, y)
+    yield (ins, "bilinear triangle",
+           extend_bilinear(f, zero=Dist.empty())(dirac(x), dirac(y)), f(x, y))
 
 
 @law("extension_uniqueness",
@@ -695,74 +628,45 @@ def _extension_uniqueness(rng, cfg):
     p = gen_dist(rng, cfg, sa)
     y = rng.choice(sb.elements)
     z = Dist.empty()
-    bad = _neq(
-        "2-linear extension unique",
-        extend_2linear(f, zero=z)(x, q),
-        extend_2linear_via_strength(f, zero=z)(x, q),
-    ) or _neq(
-        "1-linear extension unique",
-        extend_1linear(f, zero=z)(p, y),
-        extend_1linear_via_strength(f, zero=z)(p, y),
-    )
-    if bad:
-        return f"x={x!r}, Q={q!r}, P={p!r}, y={y!r}; {bad}"
+    yield ({"x": x, "Q": q}, "2-linear extension unique",
+           extend_2linear(f, zero=z)(x, q), extend_2linear_via_strength(f, zero=z)(x, q))
+    yield ({"P": p, "y": y}, "1-linear extension unique",
+           extend_1linear(f, zero=z)(p, y), extend_1linear_via_strength(f, zero=z)(p, y))
     scalars = {(x, y): gen_scalar(rng, cfg, nonzero=False) for x in sa for y in sb}
     g = lambda x, y: scalars[(x, y)]
-    bad = _neq(
-        "scalar-valued 2-linear extension unique",
-        extend_2linear(g, zero=Fraction(0))(x, q),
-        extend_2linear_via_strength(g, zero=Fraction(0))(x, q),
-    )
-    if bad:
-        return f"x={x!r}, Q={q!r}; {bad}"
+    yield ({"x": x, "Q": q}, "scalar-valued 2-linear extension unique",
+           extend_2linear(g, zero=Fraction(0))(x, q),
+           extend_2linear_via_strength(g, zero=Fraction(0))(x, q))
     # the bilinear extension is stage-order independent: extending the
     # first slot first agrees with extending the second slot first
     second_first = linear_extend(
-        lambda y: linear_extend(lambda xx: f(xx, y), p, zero=Dist.empty()),
-        q,
-        zero=Dist.empty(),
+        lambda y: linear_extend(lambda xx: f(xx, y), p, zero=z), q, zero=z
     )
-    bad = _neq(
-        "bilinear extension stage order",
-        extend_bilinear(f, zero=Dist.empty())(p, q),
-        second_first,
-    )
-    if bad:
-        return f"P={p!r}, Q={q!r}; {bad}"
-    return None
-
-
-def _fubini_case(rng, cfg, semiring):
-    sa, sb = space_a(cfg), space_b(cfg)
-    p = gen_dist(rng, cfg, sa, semiring)
-    q = gen_dist(rng, cfg, sb, semiring)
-    bad = _neq("tensor = tensor_iterated", tensor(p, q), tensor_iterated(p, q))
-    return f"P={p!r}, Q={q!r}; {bad}" if bad else None
+    yield ({"P": p, "Q": q}, "bilinear extension stage order",
+           extend_bilinear(f, zero=z)(p, q), second_first)
 
 
 @law("fubini",
      "the two extension orders build the same tensor: Fubini's theorem "
      "for finite mixtures")
-def _fubini(rng, cfg):
-    return _fubini_case(rng, cfg, RATIONALS)
+def _fubini(rng, cfg, semiring=RATIONALS):
+    p = gen_dist(rng, cfg, space_a(cfg), semiring)
+    q = gen_dist(rng, cfg, space_b(cfg), semiring)
+    yield {"P": p, "Q": q}, "tensor = tensor_iterated", tensor(p, q), tensor_iterated(p, q)
 
 
 @law("tensor_bilinear", "tensor is linear in each argument separately")
 def _tensor_bilinear(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    pp = gen_nested(rng, cfg, sa, depth=2)
-    qq = gen_nested(rng, cfg, sb, depth=2)
-    if not check_bilinear(tensor, [(pp, qq)]):
-        return f"tensor bilinearity failed on PP={pp!r}, QQ={qq!r}"
-    return None
+    pp = gen_nested(rng, cfg, space_a(cfg), depth=2)
+    qq = gen_nested(rng, cfg, space_b(cfg), depth=2)
+    yield {"PP": pp, "QQ": qq}, "tensor bilinearity", check_bilinear(tensor, [(pp, qq)]), True
 
 
 @law("tensor_total", "total(P (x) Q) = total(P) * total(Q)")
 def _tensor_total(rng, cfg):
     p = gen_dist(rng, cfg, space_a(cfg))
     q = gen_dist(rng, cfg, space_b(cfg))
-    bad = _neq("multiplicative totals", total(tensor(p, q)), total(p) * total(q))
-    return f"P={p!r}, Q={q!r}; {bad}" if bad else None
+    yield {"P": p, "Q": q}, "multiplicative totals", total(tensor(p, q)), total(p) * total(q)
 
 
 @law("tensor_symmetry_associativity",
@@ -773,15 +677,10 @@ def _tensor_symmetry_associativity(rng, cfg):
     r = gen_dist(rng, cfg, space_c(cfg))
     twist = lambda xy: (xy[1], xy[0])
     assoc = lambda xyz: (xyz[0][0], (xyz[0][1], xyz[1]))
-    bad = _neq(
-        "twist . tensor = tensor . swap", pushforward(twist, tensor(p, q)),
-        tensor(q, p)
-    ) or _neq(
-        "reassociation",
-        pushforward(assoc, tensor(tensor(p, q), r)),
-        tensor(p, tensor(q, r)),
-    )
-    return f"P={p!r}, Q={q!r}, R={r!r}; {bad}" if bad else None
+    ins = {"P": p, "Q": q, "R": r}
+    yield ins, "twist . tensor = tensor . swap", pushforward(twist, tensor(p, q)), tensor(q, p)
+    yield (ins, "reassociation", pushforward(assoc, tensor(tensor(p, q), r)),
+           tensor(p, tensor(q, r)))
 
 
 @law("tensor_initial",
@@ -792,16 +691,11 @@ def _tensor_initial(rng, cfg):
     unit_pair = lambda x, y: dirac((x, y))
     p, q = gen_dist(rng, cfg, sa), gen_dist(rng, cfg, sb)
     x = rng.choice(sa.elements)
-    bad = _neq(
-        "extend_bilinear(dirac pair) = tensor",
-        extend_bilinear(unit_pair, zero=Dist.empty())(p, q),
-        tensor(p, q),
-    ) or _neq(
-        "extend_2linear(dirac pair) = strength_left",
-        extend_2linear(unit_pair, zero=Dist.empty())(x, q),
-        strength_left(x, q),
-    )
-    return f"P={p!r}, Q={q!r}, x={x!r}; {bad}" if bad else None
+    ins = {"P": p, "Q": q, "x": x}
+    yield (ins, "extend_bilinear(dirac pair) = tensor",
+           extend_bilinear(unit_pair, zero=Dist.empty())(p, q), tensor(p, q))
+    yield (ins, "extend_2linear(dirac pair) = strength_left",
+           extend_2linear(unit_pair, zero=Dist.empty())(x, q), strength_left(x, q))
 
 
 @law("cotensor",
@@ -813,28 +707,14 @@ def _cotensor(rng, cfg):
     pf = Dist((t, gen_scalar(rng, cfg)) for t in tables)
     x = rng.choice(sa.elements)
     g = tables[0]
-    bad = _neq(
-        "cotensor of a point mass evaluates the table",
-        cotensor_strength(dirac(g), x), dirac(g(x))
-    )
-    if bad:
-        return f"g={g!r}, x={x!r}; {bad}"
-    direct = cotensor_strength(pf, x)
-    mixed = linear_extend(
-        lambda t: dirac(t(x)), pf, zero=Dist.empty()
-    )
-    bad = _neq("cotensor is linear in the mixture", direct, mixed)
-    if bad:
-        return f"PF={pf!r}, x={x!r}; {bad}"
+    yield ({"g": g, "x": x}, "cotensor of a point mass evaluates the table",
+           cotensor_strength(dirac(g), x), dirac(g(x)))
+    yield ({"PF": pf, "x": x}, "cotensor is linear in the mixture", cotensor_strength(pf, x),
+           linear_extend(lambda t: dirac(t(x)), pf, zero=Dist.empty()))
     h = gen_map(rng, sb, sc)
-    bad = _neq(
-        "cotensor natural in the codomain",
-        cotensor_strength(pushforward(lambda t: FunTable(sa, {a: h(t(a)) for a in sa}), pf), x),
-        pushforward(h, cotensor_strength(pf, x)),
-    )
-    if bad:
-        return f"PF={pf!r}, h={h!r}, x={x!r}; {bad}"
-    return None
+    post = lambda t: FunTable(sa, {a: h(t(a)) for a in sa})
+    yield ({"PF": pf, "h": h, "x": x}, "cotensor natural in the codomain",
+           cotensor_strength(pushforward(post, pf), x), pushforward(h, cotensor_strength(pf, x)))
 
 
 # -- pairing laws ----------------------------------------------------------------
@@ -846,10 +726,8 @@ def _pairing_unit(rng, cfg):
     x = rng.choice(sa.elements)
     phi = gen_scalar_table(rng, cfg, sa)
     psi = gen_dist_table(rng, cfg, sa, sb)
-    bad = _neq("scalar case", pair(dirac(x), phi), phi(x)) or _neq(
-        "vector case", pair(dirac(x), psi), psi(x)
-    )
-    return f"x={x!r}; {bad}" if bad else None
+    yield {"x": x, "phi": phi}, "scalar case", pair(dirac(x), phi), phi(x)
+    yield {"x": x, "psi": psi}, "vector case", pair(dirac(x), psi), psi(x)
 
 
 @law("pairing_extranatural", "<pushforward(f, P), phi> = <P, phi . f>")
@@ -858,44 +736,39 @@ def _pairing_extranatural(rng, cfg):
     p = gen_dist(rng, cfg, sa)
     f = gen_map(rng, sa, sb)
     phi = gen_scalar_table(rng, cfg, sb)
-    bad = _neq(
-        "extranaturality",
-        pair(pushforward(f, p), phi, zero=Fraction(0)),
-        pair(p, lambda x: phi(f(x)), zero=Fraction(0)),
-    )
-    return f"P={p!r}, f={f!r}; {bad}" if bad else None
+    yield ({"P": p, "f": f, "phi": phi}, "extranaturality",
+           pair(pushforward(f, p), phi, zero=Fraction(0)),
+           pair(p, lambda x: phi(f(x)), zero=Fraction(0)))
 
 
 @law("total_as_pairing", "total(P) = <P, 1>")
 def _total_as_pairing(rng, cfg):
     p = gen_dist(rng, cfg, space_a(cfg))
-    bad = _neq("total = <-, 1>", total(p), pair(p, constant_one()))
-    return f"P={p!r}; {bad}" if bad else None
+    yield {"P": p}, "total = <-, 1>", total(p), pair(p, constant_one())
 
 
 @law("pairing_bilinear",
      "the pairing is linear in the distribution and in the test function")
 def _pairing_bilinear(rng, cfg):
     sa = space_a(cfg)
+    pairing = lambda p, t: pair(p, t, zero=Fraction(0))
     pp = gen_nested(rng, cfg, sa, depth=2)
     phi = gen_scalar_table(rng, cfg, sa)
-    if not check_1linear(lambda p, t: pair(p, t, zero=Fraction(0)), [(pp, phi)]):
-        return f"pairing not linear in P on PP={pp!r}, phi={phi!r}"
+    yield ({"PP": pp, "phi": phi}, "pairing linear in P",
+           check_1linear(pairing, [(pp, phi)]), True)
     p = gen_dist(rng, cfg, sa)
     tables = [gen_scalar_table(rng, cfg, sa) for _ in range(rng.randint(1, 3))]
     tt = Dist((t, gen_scalar(rng, cfg)) for t in tables)
     if not tt.is_empty():
-        if not check_2linear(lambda r, t: pair(r, t, zero=Fraction(0)), [(p, tt)]):
-            return f"pairing not linear in phi on P={p!r}, TT={tt!r}"
-    return None
+        yield ({"P": p, "TT": tt}, "pairing linear in phi",
+               check_2linear(pairing, [(p, tt)]), True)
 
 
 @law("semantics_monic",
      "evaluating the semantics functional at x -> dirac(x) recovers P")
 def _semantics_monic(rng, cfg):
     p = gen_dist(rng, cfg, space_a(cfg))
-    bad = _neq("enough test functions", eval_at_eta(semantics(p)), p)
-    return f"P={p!r}; {bad}" if bad else None
+    yield {"P": p}, "enough test functions", eval_at_eta(semantics(p)), p
 
 
 @law("switch", "<P |- phi, psi> = <P, phi * psi>")
@@ -905,11 +778,8 @@ def _switch(rng, cfg):
     phi = gen_scalar_table(rng, cfg, sa)
     psi = TestFn.from_table(gen_dist_table(rng, cfg, sa, sb))
     chi = TestFn.from_table(gen_scalar_table(rng, cfg, sa))
-    if not check_switch(p, phi, psi):
-        return f"switch failed (vector psi): P={p!r}, phi={phi!r}, psi={psi.fn!r}"
-    if not check_switch(p, phi, chi):
-        return f"switch failed (scalar psi): P={p!r}, phi={phi!r}, psi={chi.fn!r}"
-    return None
+    yield {"P": p, "phi": phi, "psi": psi}, "vector psi", check_switch(p, phi, psi), True
+    yield {"P": p, "phi": phi, "psi": chi}, "scalar psi", check_switch(p, phi, chi), True
 
 
 @law("action_total", "<P, phi> = total(P |- phi)")
@@ -917,9 +787,8 @@ def _action_total(rng, cfg):
     sa = space_a(cfg)
     p = gen_dist(rng, cfg, sa)
     phi = gen_scalar_table(rng, cfg, sa)
-    if not pairing_equals_action_total(p, phi):
-        return f"P={p!r}, phi={phi!r}"
-    return None
+    yield ({"P": p, "phi": phi}, "<P, phi> = total(P |- phi)",
+           pairing_equals_action_total(p, phi), True)
 
 
 @law("action_monoid",
@@ -930,13 +799,10 @@ def _action_monoid(rng, cfg):
     p = gen_dist(rng, cfg, sa)
     phi1 = gen_scalar_table(rng, cfg, sa)
     phi2 = gen_scalar_table(rng, cfg, sa)
-    both = fn_pointwise_mul(phi1, phi2)
-    bad = _neq(
-        "associativity",
-        fn_action(fn_action(p, phi1), phi2),
-        fn_action(p, both),
-    ) or _neq("unit", fn_action(p, constant_one()), p)
-    return f"P={p!r}, phi1={phi1!r}, phi2={phi2!r}; {bad}" if bad else None
+    ins = {"P": p, "phi1": phi1, "phi2": phi2}
+    yield (ins, "associativity", fn_action(fn_action(p, phi1), phi2),
+           fn_action(p, fn_pointwise_mul(phi1, phi2)))
+    yield ins, "unit", fn_action(p, constant_one()), p
 
 
 @law("frobenius", "pushforward(f, P) |- phi = pushforward(f, P |- (phi . f))")
@@ -945,30 +811,19 @@ def _frobenius(rng, cfg):
     p = gen_dist(rng, cfg, sa)
     f = gen_map(rng, sa, sb)
     phi = gen_scalar_table(rng, cfg, sb)
-    if not check_frobenius(f, p, phi):
-        return f"P={p!r}, f={f!r}, phi={phi!r}"
-    return None
+    yield {"P": p, "f": f, "phi": phi}, "Frobenius reciprocity", check_frobenius(f, p, phi), True
 
 
 @law("density_round_trip",
      "whenever Q/P exists, reweighting P by it recovers Q; the density of "
      "P in itself is the constant 1")
 def _density_round_trip(rng, cfg):
-    sa = space_a(cfg)
-    p = gen_dist(rng, cfg, sa, min_support=1)
+    p = gen_dist(rng, cfg, space_a(cfg), min_support=1)
     sub = [x for x in p.support() if rng.random() < 0.7]
     q = Dist((x, gen_scalar(rng, cfg, nonzero=False)) for x in sub)
-    phi = density(q, p)
-    bad = _neq("P |- (Q/P) = Q", fn_action(p, phi), q)
-    if bad:
-        return f"P={p!r}, Q={q!r}; {bad}"
-    self_density = density(p, p)
-    bad = _neq(
-        "P/P = 1 on the support",
-        set(self_density.values()),
-        {Fraction(1)} if len(p) else set(),
-    )
-    return f"P={p!r}; {bad}" if bad else None
+    yield {"P": p, "Q": q}, "P |- (Q/P) = Q", fn_action(p, density(q, p)), q
+    yield ({"P": p}, "P/P = 1 on the support", set(density(p, p).values()),
+           {Fraction(1)} if len(p) else set())
 
 
 # -- line calculus laws -----------------------------------------------------------
@@ -978,40 +833,31 @@ def _density_round_trip(rng, cfg):
      "convolution is associative and commutative with unit dirac(0)")
 def _convolution_monoid(rng, cfg):
     p, q, r = (gen_line_dist(rng, cfg) for _ in range(3))
-    bad = (
-        _neq("associative", convolve(convolve(p, q), r), convolve(p, convolve(q, r)))
-        or _neq("commutative", convolve(p, q), convolve(q, p))
-        or _neq("unit", convolve(p, dirac(Fraction(0))), p)
-    )
-    return f"P={p!r}, Q={q!r}, R={r!r}; {bad}" if bad else None
+    ins = {"P": p, "Q": q, "R": r}
+    yield ins, "associative", convolve(convolve(p, q), r), convolve(p, convolve(q, r))
+    yield ins, "commutative", convolve(p, q), convolve(q, p)
+    yield ins, "unit", convolve(p, dirac(Fraction(0))), p
 
 
 @law("convolution_total", "total(P * Q) = total(P) * total(Q)")
 def _convolution_total(rng, cfg):
     p, q = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
-    bad = _neq("multiplicative totals", total(convolve(p, q)), total(p) * total(q))
-    return f"P={p!r}, Q={q!r}; {bad}" if bad else None
+    yield {"P": p, "Q": q}, "multiplicative totals", total(convolve(p, q)), total(p) * total(q)
 
 
 @law("expectation_unit", "E(dirac(x)) = x and moment(P, 0) = total(P)")
 def _expectation_unit(rng, cfg):
     x = gen_rational_point(rng, cfg)
     p = gen_line_dist(rng, cfg)
-    bad = _neq("E(dirac(x)) = x", expectation(dirac(x)), x) or _neq(
-        "moment 0 is the total", moment(p, 0), total(p)
-    )
-    return f"x={x}, P={p!r}; {bad}" if bad else None
+    yield {"x": x, "P": p}, "E(dirac(x)) = x", expectation(dirac(x)), x
+    yield {"x": x, "P": p}, "moment 0 is the total", moment(p, 0), total(p)
 
 
 @law("expectation_convolution", "E(P*Q) = E(P) total(Q) + total(P) E(Q)")
 def _expectation_convolution(rng, cfg):
     p, q = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
-    bad = _neq(
-        "product rule for expectations",
-        expectation(convolve(p, q)),
-        expectation(p) * total(q) + total(p) * expectation(q),
-    )
-    return f"P={p!r}, Q={q!r}; {bad}" if bad else None
+    yield ({"P": p, "Q": q}, "product rule for expectations", expectation(convolve(p, q)),
+           expectation(p) * total(q) + total(p) * expectation(q))
 
 
 @law("expectation_as_mu",
@@ -1020,12 +866,10 @@ def _expectation_convolution(rng, cfg):
 def _expectation_as_mu(rng, cfg):
     p = gen_line_dist(rng, cfg)
     x = gen_rational_point(rng, cfg)
-    bad = (
-        _neq("mixture route = pairing route", expectation_as_mu(p), expectation(p))
-        or _neq("on point masses", expectation_as_mu(dirac(x)), x)
-        or _neq("on zero", expectation_as_mu(Dist.empty()), Fraction(0))
-    )
-    return f"P={p!r}; {bad}" if bad else None
+    ins = {"P": p, "x": x}
+    yield ins, "mixture route = pairing route", expectation_as_mu(p), expectation(p)
+    yield ins, "on point masses", expectation_as_mu(dirac(x)), x
+    yield ins, "on zero", expectation_as_mu(Dist.empty()), Fraction(0)
 
 
 @law("homothety_translation",
@@ -1035,30 +879,22 @@ def _homothety_translation(rng, cfg):
     p = gen_line_dist(rng, cfg)
     a = gen_rational_point(rng, cfg)
     b = gen_rational_point(rng, cfg)
-    checks = [
-        _neq("homothety scales E", expectation(homothety(p, b)),
-             b * expectation(p)),
-        _neq("translate = convolve with dirac", translate(p, a),
-             convolve(p, dirac(a))),
-        _neq("E after translation", expectation(translate(p, a)),
-             expectation(p) + total(p) * a),
-    ]
-    for bad in checks:
-        if bad:
-            return f"P={p!r}, a={a}, b={b}; {bad}"
+    ins = {"P": p, "a": a, "b": b}
+    yield ins, "homothety scales E", expectation(homothety(p, b)), b * expectation(p)
+    yield ins, "translate = convolve with dirac", translate(p, a), convolve(p, dirac(a))
+    yield (ins, "E after translation", expectation(translate(p, a)),
+           expectation(p) + total(p) * a)
     unit = gen_prob_line_dist(rng, cfg)
-    bad = _neq("total-1 translation", expectation(translate(unit, a)),
-               expectation(unit) + a)
-    return f"P={unit!r}, a={a}; {bad}" if bad else None
+    yield ({"P": unit, "a": a}, "total-1 translation", expectation(translate(unit, a)),
+           expectation(unit) + a)
 
 
 @law("affine_expectation", "E(f(P)) = f(E(P)) for affine f and total-1 P")
 def _affine_expectation(rng, cfg):
     p = gen_prob_line_dist(rng, cfg)
     f = gen_affine(rng, cfg)
-    bad = _neq("affine equivariance", expectation(
-        pushforward(f, p)), f(expectation(p)))
-    return f"P={p!r}, f={f!r}; {bad}" if bad else None
+    yield ({"P": p, "f": f}, "affine equivariance", expectation(pushforward(f, p)),
+           f(expectation(p)))
 
 
 @law("cg_affine",
@@ -1066,25 +902,22 @@ def _affine_expectation(rng, cfg):
 def _cg_affine(rng, cfg):
     p = gen_nonzero_total_line_dist(rng, cfg)
     f = gen_affine(rng, cfg)
-    bad = _neq("cg equivariance", center_of_gravity(pushforward(f, p)),
-               f(center_of_gravity(p)))
-    return f"P={p!r}, f={f!r}; {bad}" if bad else None
+    yield ({"P": p, "f": f}, "cg equivariance", center_of_gravity(pushforward(f, p)),
+           f(center_of_gravity(p)))
 
 
 @law("derivative_total", "the derivative of any distribution has total 0")
 def _derivative_total(rng, cfg):
     p = gen_line_dist(rng, cfg)
     step = gen_step(rng)
-    bad = _neq("total(P') = 0", total(derivative(p, step)), Fraction(0))
-    return f"P={p!r}, d={step.d}; {bad}" if bad else None
+    yield {"P": p, "d": step.d}, "total(P') = 0", total(derivative(p, step)), Fraction(0)
 
 
 @law("derivative_expectation", "E(P') = total(P)")
 def _derivative_expectation(rng, cfg):
     p = gen_line_dist(rng, cfg)
     step = gen_step(rng)
-    bad = _neq("E(P') = total(P)", expectation(derivative(p, step)), total(p))
-    return f"P={p!r}, d={step.d}; {bad}" if bad else None
+    yield {"P": p, "d": step.d}, "E(P') = total(P)", expectation(derivative(p, step)), total(p)
 
 
 @law("derivative_switch", "<P', phi> = <P, phi'>")
@@ -1092,18 +925,11 @@ def _derivative_switch(rng, cfg):
     p = gen_line_dist(rng, cfg)
     step = gen_step(rng)
     phi = gen_poly_fn(rng, cfg)
-    lhs = pair(derivative(p, step), phi)
-    rhs = pair(p, fn_derivative(phi, step))
-    bad = _neq("scalar test functions", lhs, rhs)
-    if bad:
-        return f"P={p!r}, d={step.d}, phi={getattr(phi, 'label', phi)!r}; {bad}"
+    yield ({"P": p, "d": step.d, "phi": phi}, "scalar test functions",
+           pair(derivative(p, step), phi), pair(p, fn_derivative(phi, step)))
     psi = gen_dist_valued_line_fn(rng, cfg)
-    bad = _neq(
-        "vector test functions",
-        pair(derivative(p, step), psi),
-        pair(p, fn_derivative(psi, step)),
-    )
-    return f"P={p!r}, d={step.d}; {bad}" if bad else None
+    yield ({"P": p, "d": step.d}, "vector test functions",
+           pair(derivative(p, step), psi), pair(p, fn_derivative(psi, step)))
 
 
 @law("derivative_convolution", "(P*Q)' = P'*Q = P*Q'")
@@ -1111,10 +937,9 @@ def _derivative_convolution(rng, cfg):
     p, q = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
     step = gen_step(rng)
     lhs = derivative(convolve(p, q), step)
-    bad = _neq("(P*Q)' = P'*Q", lhs, convolve(derivative(p, step), q)) or _neq(
-        "(P*Q)' = P*Q'", lhs, convolve(p, derivative(q, step))
-    )
-    return f"P={p!r}, Q={q!r}, d={step.d}; {bad}" if bad else None
+    ins = {"P": p, "Q": q, "d": step.d}
+    yield ins, "(P*Q)' = P'*Q", lhs, convolve(derivative(p, step), q)
+    yield ins, "(P*Q)' = P*Q'", lhs, convolve(p, derivative(q, step))
 
 
 @law("derivative_translation", "differentiation commutes with translation")
@@ -1122,12 +947,8 @@ def _derivative_translation(rng, cfg):
     p = gen_line_dist(rng, cfg)
     t = gen_rational_point(rng, cfg)
     step = gen_step(rng)
-    bad = _neq(
-        "translation invariance",
-        derivative(translate(p, t), step),
-        translate(derivative(p, step), t),
-    )
-    return f"P={p!r}, t={t}, d={step.d}; {bad}" if bad else None
+    yield ({"P": p, "t": t, "d": step.d}, "translation invariance",
+           derivative(translate(p, t), step), translate(derivative(p, step), t))
 
 
 @law("derivative_linear",
@@ -1137,17 +958,14 @@ def _derivative_linear(rng, cfg):
     c = gen_scalar(rng, cfg)
     step = gen_step(rng)
     ddt = lambda r: derivative(r, step)
-    bad = _neq("additive", ddt(dist_add(p, q)), dist_add(ddt(p), ddt(q))) or _neq(
-        "homogeneous", ddt(scale(c, p)), scale(c, ddt(p))
-    )
-    if bad:
-        return f"P={p!r}, Q={q!r}, c={c}, d={step.d}; {bad}"
+    ins = {"P": p, "Q": q, "c": c, "d": step.d}
+    yield ins, "additive", ddt(dist_add(p, q)), dist_add(ddt(p), ddt(q))
+    yield ins, "homogeneous", ddt(scale(c, p)), scale(c, ddt(p))
     mixtures = Dist(
         ((gen_line_dist(rng, cfg), gen_scalar(rng, cfg)) for _ in range(2))
     )
-    if not check_linear(ddt, [mixtures]):
-        return f"mixing failed on {mixtures!r} with d={step.d}"
-    return None
+    yield ({"mix": mixtures, "d": step.d}, "commutes with mixing",
+           check_linear(ddt, [mixtures]), True)
 
 
 @law("integration",
@@ -1155,19 +973,10 @@ def _derivative_linear(rng, cfg):
 def _integration(rng, cfg):
     step = gen_step(rng)
     p = gen_line_dist(rng, cfg)
-    bad = _neq(
-        "primitive(P') = P", primitive(derivative(p, step), step), p
-    )
-    if bad:
-        return f"P={p!r}, d={step.d}; {bad}"
+    yield {"P": p, "d": step.d}, "primitive(P') = P", primitive(derivative(p, step), step), p
     q = gen_balanced_line_dist(rng, cfg, step)
-    bad = _neq(
-        "(primitive(Q))' = Q", derivative(primitive(q, step), step), q
-    )
-    if bad:
-        return f"Q={q!r}, d={step.d}; {bad}"
-    bad = _neq("primitive(0) = 0", primitive(Dist.empty(), step), Dist.empty())
-    return f"d={step.d}; {bad}" if bad else None
+    yield {"Q": q, "d": step.d}, "(primitive(Q))' = Q", derivative(primitive(q, step), step), q
+    yield {"d": step.d}, "primitive(0) = 0", primitive(Dist.empty(), step), Dist.empty()
 
 
 @law("interval_laws",
@@ -1176,20 +985,14 @@ def _integration(rng, cfg):
 def _interval_laws(rng, cfg):
     step = gen_step(rng)
     a = gen_rational_point(rng, cfg)
-    n = rng.randint(-5, 5)
-    b = a + n * step.d
+    b = a + rng.randint(-5, 5) * step.d
     comb = interval(a, b, step)
     endpoints = dist_sub(dirac(b), dirac(a))
-    checks = [
-        _neq("defining equation", derivative(comb, step), endpoints),
-        _neq("total", total(comb), b - a),
-        _neq("primitive route", primitive(endpoints, step), comb),
-        _neq("[a,a] = 0", interval(a, a, step), Dist.empty()),
-    ]
-    for bad in checks:
-        if bad:
-            return f"a={a}, b={b}, d={step.d}; {bad}"
-    return None
+    ins = {"a": a, "b": b, "d": step.d}
+    yield ins, "defining equation", derivative(comb, step), endpoints
+    yield ins, "total", total(comb), b - a
+    yield ins, "primitive route", primitive(endpoints, step), comb
+    yield ins, "[a,a] = 0", interval(a, a, step), Dist.empty()
 
 
 @law("interval_powers",
@@ -1199,26 +1002,17 @@ def _interval_laws(rng, cfg):
      "not symmetric",
      deterministic=True)
 def _interval_powers(rng, cfg):
-    d = Fraction(1, 4)
-    unit = interval(Fraction(-1, 2), Fraction(1, 2), Step(d))
+    a, d = Fraction(1, 2), Fraction(1, 4)
+    unit = interval(-a, a, Step(d))
     wide = interval(Fraction(-1), Fraction(1), Step(Fraction(1, 2)))
-    bad = _neq("E([-a,a]) = -a*d", expectation(unit), -Fraction(1, 2) * d)
-    if bad:
-        return bad
+    yield {"a": a, "d": d}, "E([-a,a]) = -a*d", expectation(unit), -a * d
     for k in range(6):
         pk = convolution_power(unit, k)
-        bad = _neq(f"total of power {k}", total(pk), Fraction(1)) or _neq(
-            f"expectation of power {k}", expectation(pk), k * expectation(unit)
-        )
-        if bad:
-            return bad
-        bad = _neq(
-            f"total of [-1,1]^*{k}", total(convolution_power(wide, k)),
-            Fraction(2) ** k
-        )
-        if bad:
-            return bad
-    return None
+        yield {"a": a, "d": d, "k": k}, "total of [-a,a]^*k", total(pk), Fraction(1)
+        yield ({"a": a, "d": d, "k": k}, "expectation of [-a,a]^*k", expectation(pk),
+               k * expectation(unit))
+        yield ({"k": k}, "total of [-1,1]^*k", total(convolution_power(wide, k)),
+               Fraction(2) ** k)
 
 
 @law("leibniz_residual",
@@ -1234,21 +1028,16 @@ def _leibniz_residual(rng, cfg):
     closed = scale(
         (phi(x + d) - phi(x)) / d, dist_sub(dirac(x + d), dirac(x))
     )
-    bad = _neq("closed form on point masses",
-               leibniz_residual(dirac(x), phi, step), closed)
-    if bad:
-        return f"x={x}, d={d}, phi={getattr(phi, 'label', phi)!r}; {bad}"
+    yield ({"x": x, "d": d, "phi": phi}, "closed form on point masses",
+           leibniz_residual(dirac(x), phi, step), closed)
     p, q = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
     res = lambda r: leibniz_residual(r, phi, step)
     c = gen_scalar(rng, cfg)
-    bad = _neq("additive in P", res(dist_add(p, q)), dist_add(res(p), res(q))) or _neq(
-        "homogeneous in P", res(scale(c, p)), scale(c, res(p))
-    )
-    if bad:
-        return f"P={p!r}, Q={q!r}, c={c}, d={d}; {bad}"
+    ins = {"P": p, "Q": q, "c": c, "d": d, "phi": phi}
+    yield ins, "additive in P", res(dist_add(p, q)), dist_add(res(p), res(q))
+    yield ins, "homogeneous in P", res(scale(c, p)), scale(c, res(p))
     const = TestFn.scalar(lambda _: Fraction(5, 3))
-    bad = _neq("constant phi", leibniz_residual(p, const, step), Dist.empty())
-    return f"P={p!r}, d={d}; {bad}" if bad else None
+    yield {"P": p, "d": d}, "constant phi", leibniz_residual(p, const, step), Dist.empty()
 
 
 # -- probability laws --------------------------------------------------------------
@@ -1260,30 +1049,19 @@ def _leibniz_residual(rng, cfg):
 def _conditioning(rng, cfg):
     sa = space_a(cfg)
     p = gen_prob_dist(rng, cfg, sa)
-    event = None
     for _ in range(50):
-        candidate = gen_event(rng, sa)
-        if pair(p, candidate, zero=Fraction(0)) != 0:
-            event = candidate
+        event = gen_event(rng, sa)
+        if pair(p, event, zero=Fraction(0)) != 0:
             break
-    if event is None:
-        return None  # astronomically unlikely; skip this draw
+    else:
+        return  # astronomically unlikely; skip this draw
     psi = gen_scalar_table(rng, cfg, sa)
     conditioned = condition(p, event)
-    mass = pair(p, event)
-    checks = [
-        _neq(
-            "conditional pairing identity",
-            pair(conditioned, psi) * mass,
-            pair(p, fn_pointwise_mul(event, psi)),
-        ),
-        _neq("total 1", total(conditioned), Fraction(1)),
-        _neq("sure event", condition(p, constant_one()), p),
-    ]
-    for bad in checks:
-        if bad:
-            return f"P={p!r}, event={event!r}, psi={psi!r}; {bad}"
-    return None
+    ins = {"P": p, "event": event, "psi": psi}
+    yield (ins, "conditional pairing identity", pair(conditioned, psi) * pair(p, event),
+           pair(p, fn_pointwise_mul(event, psi)))
+    yield ins, "total 1", total(conditioned), Fraction(1)
+    yield ins, "sure event", condition(p, constant_one()), p
 
 
 @law("marginals_tensor",
@@ -1293,15 +1071,10 @@ def _marginals_tensor(rng, cfg):
     p = gen_prob_dist(rng, cfg, space_a(cfg))
     q = gen_prob_dist(rng, cfg, space_b(cfg))
     j = tensor(p, q)
-    m1, m2 = marginals(j)
-    bad = _neq("marginals recover factors", (m1, m2), (p, q)) or _neq(
-        "tensor joints are independent", is_independent(j), True
-    )
-    if bad:
-        return f"P={p!r}, Q={q!r}; {bad}"
+    yield {"P": p, "Q": q}, "marginals recover factors", marginals(j), (p, q)
+    yield {"P": p, "Q": q}, "tensor joints are independent", is_independent(j), True
     correlated = Dist({(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
-    bad = _neq("correlated joint detected", is_independent(correlated), False)
-    return bad
+    yield {"J": correlated}, "correlated joint detected", is_independent(correlated), False
 
 
 @law("rv_sum",
@@ -1311,14 +1084,11 @@ def _rv_sum(rng, cfg):
     j = gen_prob_pair_dist(rng, cfg)
     m1, m2 = marginals(j)
     s = rv_sum(j)
-    bad = _neq(
-        "E(X+Y) = E(X) + E(Y)", expectation(s), expectation(m1) + expectation(m2)
-    ) or _neq("mass preserved", total(s), total(j))
-    if bad:
-        return f"J={j!r}; {bad}"
+    yield {"J": j}, "E(X+Y) = E(X) + E(Y)", expectation(s), expectation(m1) + expectation(m2)
+    yield {"J": j}, "mass preserved", total(s), total(j)
     p, q = gen_prob_line_dist(rng, cfg), gen_prob_line_dist(rng, cfg)
-    bad = _neq("independent sum = convolution", rv_sum(tensor(p, q)), convolve(p, q))
-    return f"P={p!r}, Q={q!r}; {bad}" if bad else None
+    yield ({"P": p, "Q": q}, "independent sum = convolution",
+           rv_sum(tensor(p, q)), convolve(p, q))
 
 
 @law("probability_closure",
@@ -1326,17 +1096,11 @@ def _rv_sum(rng, cfg):
      "not under scaling")
 def _probability_closure(rng, cfg):
     p, q = gen_prob_line_dist(rng, cfg), gen_prob_line_dist(rng, cfg)
-    checks = [
-        _neq("tensor stays total-1", is_probability(tensor(p, q)), True),
-        _neq("convolution stays total-1", is_probability(convolve(p, q)), True),
-        _neq("scaling leaves", is_probability(scale(2, p)), False),
-        _neq("normalize lands in total-1",
-             is_probability(normalize(scale(7, p))), True),
-    ]
-    for bad in checks:
-        if bad:
-            return f"P={p!r}, Q={q!r}; {bad}"
-    return None
+    ins = {"P": p, "Q": q}
+    yield ins, "tensor stays total-1", is_probability(tensor(p, q)), True
+    yield ins, "convolution stays total-1", is_probability(convolve(p, q)), True
+    yield ins, "scaling leaves", is_probability(scale(2, p)), False
+    yield ins, "normalize lands in total-1", is_probability(normalize(scale(7, p))), True
 
 
 # -- quantity laws ------------------------------------------------------------------
@@ -1353,37 +1117,23 @@ def _unit_determined(rng, cfg):
     u = gen_scalar(rng, cfg)
     u2 = gen_scalar(rng, cfg)
     m = from_pure(p, u)
-    checks = [
-        _neq("to_pure inverts from_pure", to_pure(m), p),
-        _neq("rescaling preserves the pure value",
-             to_pure(rescale_unit(m, u2)), p),
-        _neq("same unit, same tagging", rescale_unit(m, u), m),
-    ]
-    for bad in checks:
-        if bad:
-            return f"P={p!r}, u={u}, u2={u2}; {bad}"
+    ins = {"P": p, "u": u, "u2": u2}
+    yield ins, "to_pure inverts from_pure", to_pure(m), p
+    yield ins, "rescaling preserves the pure value", to_pure(rescale_unit(m, u2)), p
+    yield ins, "same unit, same tagging", rescale_unit(m, u), m
     body = gen_dist(rng, cfg, sa, min_support=1)
+    pure = lambda unit, d: to_pure(UnitTagged(unit, d))
     if u != u2:
-        if to_pure(UnitTagged(u, body)) == to_pure(UnitTagged(u2, body)):
-            return f"distinct units {u} != {u2} agreed on body {body!r}"
+        yield ({"body": body, "u": u, "u2": u2}, "distinct units give distinct pure values",
+               pure(u, body) == pure(u2, body), False)
     f = gen_map(rng, sa, sb)
     c = gen_scalar(rng, cfg)
     q = gen_dist(rng, cfg, sa)
-    checks = [
-        _neq("commutes with pushforward",
-             pushforward(f, to_pure(UnitTagged(u, body))),
-             to_pure(UnitTagged(u, pushforward(f, body)))),
-        _neq("commutes with +",
-             to_pure(UnitTagged(u, dist_add(body, q))),
-             dist_add(to_pure(UnitTagged(u, body)), to_pure(UnitTagged(u, q)))),
-        _neq("commutes with scale",
-             to_pure(UnitTagged(u, scale(c, body))),
-             scale(c, to_pure(UnitTagged(u, body)))),
-    ]
-    for bad in checks:
-        if bad:
-            return f"body={body!r}, u={u}, c={c}; {bad}"
-    return None
+    ins = {"body": body, "u": u, "c": c, "f": f, "Q": q}
+    yield (ins, "commutes with pushforward", pushforward(f, pure(u, body)),
+           pure(u, pushforward(f, body)))
+    yield ins, "commutes with +", pure(u, dist_add(body, q)), dist_add(pure(u, body), pure(u, q))
+    yield ins, "commutes with scale", pure(u, scale(c, body)), scale(c, pure(u, body))
 
 
 # -- genericity over the boolean rig -------------------------------------------------
@@ -1393,11 +1143,8 @@ def _unit_determined(rng, cfg):
      "the monad and functor laws hold over the boolean rig (the "
      "possibility/powerset reading of distributions)")
 def _bool_monad_functor(rng, cfg):
-    return _monad_law_case(rng, cfg, BOOLEANS) or _functor_law_case(
-        rng, cfg, BOOLEANS
-    )
+    yield from _monad_laws(rng, cfg, BOOLEANS)
+    yield from _functor_laws(rng, cfg, BOOLEANS)
 
 
-@law("bool_fubini", "Fubini holds over the boolean rig")
-def _bool_fubini(rng, cfg):
-    return _fubini_case(rng, cfg, BOOLEANS)
+law("bool_fubini", "Fubini holds over the boolean rig")(partial(_fubini, semiring=BOOLEANS))

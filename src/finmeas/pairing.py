@@ -13,6 +13,7 @@ from typing import Callable, Mapping
 from .dist import (
     Dist,
     FiniteSpace,
+    FunTable,
     as_point,
     dirac,
     linear_extend,
@@ -23,7 +24,6 @@ from .dist import (
 )
 from .errors import DomainError, NoDensityError
 from .scalars import RATIONALS, Semiring
-from .strength import FunTable
 
 
 class TestFn:

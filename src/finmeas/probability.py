@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dist import Dist, _require_points, pushforward, scale, total
+from .dist import Dist, FunTable, _require_points, pushforward, scale, total
 from .errors import ConditioningError, NormalizationError
 from .pairing import apply_fn, fn_action, pair
 from .scalars import RATIONALS, Semiring
-from .strength import FunTable, tensor
+from .strength import tensor
 
 
 def is_probability(p: Dist) -> bool:

@@ -9,80 +9,22 @@ opposite extension order, so their equality is checked, not assumed.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .dist import (
     Dist,
     FiniteSpace,
+    FunTable,
     _same_semiring,
     add_values,
     as_point,
     flatten,
     linear_extend,
-    point_key,
     pushforward,
     scale_value,
     zero_like,
 )
 from .errors import DomainError
-
-
-class FunTable:
-    """A total function on a FiniteSpace, given by an explicit table.
-
-    Tables are immutable and hashable, so a distribution over function
-    tables is itself a valid Dist. Calling a table outside its domain is
-    a DomainError.
-    """
-
-    __slots__ = ("domain", "_map")
-
-    def __init__(self, domain: FiniteSpace, mapping: Mapping):
-        table = {as_point(x): v for x, v in mapping.items()}
-        for v in table.values():
-            as_point(v)  # values are points too; this rejects floats
-        if set(table) != set(domain.elements):
-            raise DomainError("table must be defined on exactly the domain")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_map", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FunTable is immutable")
-
-    def __reduce__(self):
-        return (FunTable, (self.domain, self._map))
-
-    def __call__(self, x):
-        x = as_point(x)
-        if x not in self._map:
-            raise DomainError(f"{x!r} is outside the table's domain")
-        return self._map[x]
-
-    def items(self):
-        return tuple((x, self._map[x]) for x in self.domain)
-
-    def values(self):
-        return tuple(self._map[x] for x in self.domain)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FunTable)
-            and self.domain == other.domain
-            and self._map == other._map
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.values()))
-
-    def _point_key(self):
-        return (
-            tuple(point_key(x) for x in self.domain),
-            tuple(point_key(v) for v in self.values()),
-        )
-
-    def __repr__(self):
-        body = ", ".join(f"{x!r}: {v!r}" for x, v in self.items())
-        return f"FunTable({{{body}}})"
 
 
 def enumerate_tables(domain: FiniteSpace, codomain: FiniteSpace, limit: int | None = 64):

@@ -185,6 +185,15 @@ def test_laws_selection(capsys):
     assert report["law"] == "fubini"
 
 
+def test_failing_law_exits_one(capsys, monkeypatch):
+    from finmeas import Dist, laws
+
+    monkeypatch.setattr(laws, "tensor_iterated", lambda p, q: Dist.empty(p.semiring))
+    code, out, _ = run_cli(capsys, ["laws", "--law", "fubini", "--cases", "5"])
+    assert code == 1
+    assert '"passed":false' in out
+
+
 def test_table_output_mode(capsys, d6_file):
     code, out, _ = run_cli(capsys, ["moments", "--in", d6_file, "--table"])
     assert code == 0

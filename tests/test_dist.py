@@ -7,6 +7,8 @@ from finmeas import (
     BOOLEANS,
     Dist,
     DomainError,
+    FiniteSpace,
+    FunTable,
     Left,
     Right,
     biproduct_merge,
@@ -20,6 +22,7 @@ from finmeas import (
     scale,
     total,
 )
+from finmeas.dist import as_point
 
 from .conftest import atom_dists, bool_dists, nested_dists, small_fractions
 
@@ -191,3 +194,16 @@ def test_boolean_dists_behave_like_sets(p, q):
     union = dist_add(p, q)
     assert set(union.support()) == set(p.support()) | set(q.support())
     assert total(union) == (not union.is_empty())
+
+
+def test_only_function_tables_join_the_point_universe():
+    class LooksLikeATable:
+        def _point_key(self):
+            return ()
+
+    with pytest.raises(TypeError):
+        as_point(LooksLikeATable())
+    with pytest.raises(TypeError):
+        Dist({LooksLikeATable(): 1})
+    table = FunTable(FiniteSpace(["a"]), {"a": "u"})
+    assert as_point(table) is table

@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from finmeas import BOOLEANS, GenConfig, SelectionError, run_law, run_suite, total
-from finmeas.laws import LAWS, gen_dist, gen_scalar, space_a
+from finmeas import BOOLEANS, RATIONALS, Dist, GenConfig, SelectionError, run_law, run_suite, total
+from finmeas import laws
+from finmeas.laws import LAWS, Law, gen_dist, gen_scalar, law, space_a, space_b
 
 
 def small_cfg(**kw):
@@ -39,9 +41,11 @@ def test_unknown_law_is_selection_error():
         run_suite(small_cfg(), selection=["no_such_law"])
 
 
-def test_cases_must_be_positive():
-    with pytest.raises(ValueError):
-        GenConfig(cases=0)
+@pytest.mark.parametrize("name", ["cases", "max_support", "coefficient_bound", "space_size"])
+def test_cases_must_be_positive(name):
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            GenConfig(**{name: value})
 
 
 def test_report_json_shape():
@@ -89,3 +93,52 @@ def test_every_law_has_a_statement():
     for name, entry in LAWS.items():
         assert entry.statement, name
         assert entry.name == name
+
+
+def test_law_names_register_once():
+    with pytest.raises(ValueError, match="already registered"):
+        law("fubini", "a second statement")
+    assert "Fubini" in LAWS["fubini"].statement
+
+
+def test_runner_stops_at_the_first_mismatch_and_formats_it(monkeypatch):
+    def case(rng, cfg):
+        inputs = {"a": Fraction(1, 2), "x": "u"}
+        yield inputs, "holds", Fraction(1), Fraction(1)
+        yield inputs, "a = x", Fraction(1, 2), "u"
+        raise AssertionError("the runner went on after a mismatch")
+
+    monkeypatch.setitem(LAWS, "probe", Law("probe", "a probe", case))
+    report = run_law("probe", small_cfg())
+    assert (report.passed, report.cases_run) == (False, 1)
+    assert report.counterexample == "a=1/2, x='u'; a = x: Fraction(1, 2) != 'u'"
+
+
+def _drop_all_mass(p, q):
+    return Dist.empty(p.semiring)
+
+
+def test_a_wrong_fubini_map_fails_both_twins(monkeypatch):
+    monkeypatch.setattr(laws, "tensor_iterated", _drop_all_mass)
+    cfg = small_cfg(seed=0)
+    for name, semiring in (("fubini", RATIONALS), ("bool_fubini", BOOLEANS)):
+        # replay the law's draws: the first case whose tensor is not empty fails
+        rng = random.Random(f"{cfg.seed}:{name}")
+        first = next(
+            i for i in itertools.count(1)
+            if len(gen_dist(rng, cfg, space_a(cfg), semiring))
+            * len(gen_dist(rng, cfg, space_b(cfg), semiring))
+        )
+        report = run_law(name, cfg)
+        assert report.to_json()["passed"] is False
+        assert report.cases_run == first
+        assert report.counterexample.startswith("P=")
+        assert "tensor = tensor_iterated: " in report.counterexample
+
+
+def test_degenerate_draws_pass_every_law():
+    # empty supports, +-1 coefficients and one-point spaces
+    cfg = GenConfig(seed=1, cases=5, space_size=1, max_support=1, coefficient_bound=1)
+    reports = run_suite(cfg)
+    assert [(r.law, r.counterexample) for r in reports if not r.passed] == []
+    assert len(reports) == len(LAWS)
