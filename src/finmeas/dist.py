@@ -6,6 +6,15 @@ string atoms, pairs, Left/Right tagged points, nested Dist values
 (needed for mixtures of mixtures), and function tables. The universe is
 totally ordered so every distribution iterates and prints
 deterministically.
+
+Construction contract: a zero weight can only come from a sum, so zeros
+are dropped in exactly one place, `_accumulate`, which every summing
+operation (the public constructor, pushforward, flatten, dist_add and
+the Dist-valued linear extension) goes through. Every other operation
+builds its result with `Dist._of`, which adopts its dict without a
+scan: negation, the biproduct and the line kernels cannot make a zero,
+`scale` and `fn_action` skip a zero factor, and products of nonzero
+weights stay nonzero because a Semiring has no zero divisors.
 """
 
 from __future__ import annotations
@@ -206,32 +215,29 @@ class Dist:
     __slots__ = ("semiring", "_w", "_sorted", "_hash")
 
     def __init__(self, weights=(), semiring: Semiring = RATIONALS):
-        w = {}
         items = weights.items() if hasattr(weights, "items") else weights
-        for x, c in items:
-            x = as_point(x)
-            c = semiring.add(w[x], semiring.coerce(c)) if x in w else semiring.coerce(c)
-            w[x] = c
+        coerce, zero = semiring.coerce, semiring.zero
+        terms = [(as_point(x), coerce(c)) for x, c in items]
+        w = _accumulate({}, [(x, c) for x, c in terms if c != zero], semiring)
         self._adopt(w, semiring)
 
     @classmethod
     def _of(cls, w: dict, semiring: Semiring) -> "Dist":
-        """The trusted constructor: adopt `w`, a fresh dict from canonical
-        points to canonical weights, dropping only its zero weights.
+        """The trusted constructor: adopt `w` as is, with no check.
 
-        Operations whose points and weights come from existing Dists use
-        it instead of re-canonicalizing them; that relies on the
-        semiring's operations mapping canonical weights to canonical
-        weights, as both provided semirings do. `w` must not be shared.
+        `w` must be fresh (not shared with any other value), map canonical
+        points to canonical weights, and hold no zero weight. Operations
+        whose points and weights come from existing Dists use it instead
+        of re-canonicalizing them; that relies on the semiring's
+        operations mapping canonical weights to canonical weights, as both
+        provided semirings do. A dict built by summing weights gets its
+        zeros dropped by `_accumulate` first.
         """
         self = object.__new__(cls)
         self._adopt(w, semiring)
         return self
 
     def _adopt(self, w: dict, semiring: Semiring):
-        zero = semiring.zero
-        for x in [x for x, c in w.items() if c == zero]:
-            del w[x]
         object.__setattr__(self, "semiring", semiring)
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_sorted", None)
@@ -341,6 +347,32 @@ def _require_points(p: Dist, ok, message: str) -> Dist:
     return p
 
 
+def _accumulate(acc: dict, terms, sr: Semiring) -> dict:
+    """Add each (point, weight) of `terms` into `acc`, in place, and
+    return `acc`.
+
+    This is the one place a zero weight can arise, so it is the one place
+    zeros are dropped: a sum equal to `sr.zero` deletes its key, and a
+    later term at that key re-inserts it (0 + c = c). The terms' weights
+    must be nonzero.
+
+    `setdefault` inserts a new key with one lookup, so a new key is
+    hashed once and a colliding one twice; Fraction and tuple points do
+    not cache their hash, and most keys are new.
+    """
+    add, zero, put = sr.add, sr.zero, acc.setdefault
+    for x, c in terms:
+        n = len(acc)
+        old = put(x, c)
+        if len(acc) == n:
+            c = add(old, c)
+            if c == zero:
+                del acc[x]
+            else:
+                acc[x] = c
+    return acc
+
+
 def _same_semiring(p: Dist, q: Dist) -> Semiring:
     if p.semiring.name != q.semiring.name:
         raise TypeError(
@@ -354,17 +386,14 @@ def _same_semiring(p: Dist, q: Dist) -> Semiring:
 
 def dirac(x, semiring: Semiring = RATIONALS) -> Dist:
     """The unit: the point mass at x (weight 1)."""
-    return Dist({x: semiring.one}, semiring)
+    return Dist._of({as_point(x): semiring.one}, semiring)
 
 
 def pushforward(f, p: Dist) -> Dist:
     """Image distribution along f, summing weights of collapsed fibers."""
     sr = p.semiring
-    acc = {}
-    for x, c in p._w.items():
-        y = as_point(f(x))
-        acc[y] = sr.add(acc[y], c) if y in acc else c
-    return Dist._of(acc, sr)
+    terms = [(as_point(f(x)), c) for x, c in p._w.items()]
+    return Dist._of(_accumulate({}, terms, sr), sr)
 
 
 def flatten(pp: Dist) -> Dist:
@@ -374,14 +403,12 @@ def flatten(pp: Dist) -> Dist:
     the result is the weighted sum of the inner distributions.
     """
     sr = pp.semiring
-    acc = {}
+    mul, acc = sr.mul, {}
     for inner, c in pp._w.items():
         if not isinstance(inner, Dist):
             raise TypeError(f"flatten needs Dist-valued points, got {inner!r}")
         _same_semiring(pp, inner)
-        for y, v in inner._w.items():
-            w = sr.mul(c, v)
-            acc[y] = sr.add(acc[y], w) if y in acc else w
+        _accumulate(acc, [(y, mul(c, v)) for y, v in inner._w.items()], sr)
     return Dist._of(acc, sr)
 
 
@@ -393,15 +420,14 @@ def total(p: Dist):
 def scale(c, p: Dist) -> Dist:
     sr = p.semiring
     c, mul = sr.coerce(c), sr.mul
+    if c == sr.zero:
+        return Dist.empty(sr)
     return Dist._of({x: mul(c, w) for x, w in p._w.items()}, sr)
 
 
 def dist_add(p: Dist, q: Dist) -> Dist:
     sr = _same_semiring(p, q)
-    acc = dict(p._w)
-    for x, c in q._w.items():
-        acc[x] = sr.add(acc[x], c) if x in acc else c
-    return Dist._of(acc, sr)
+    return Dist._of(_accumulate(dict(p._w), q._w.items(), sr), sr)
 
 
 def dist_sub(p: Dist, q: Dist) -> Dist:
@@ -423,12 +449,6 @@ def scale_value(sr: Semiring, c, v):
     return sr.mul(c, sr.coerce(v))
 
 
-def add_values(sr: Semiring, a, b):
-    if isinstance(a, Dist) or isinstance(b, Dist):
-        return dist_add(a, b)
-    return sr.add(a, b)
-
-
 def sub_values(sr: Semiring, a, b):
     if isinstance(a, Dist) or isinstance(b, Dist):
         return dist_sub(a, b)
@@ -441,25 +461,51 @@ def zero_like(v, sr: Semiring = RATIONALS):
     return sr.zero
 
 
+_MIXED_VALUES = "linear_extend: f mixes distribution values with scalar values"
+
+
 def linear_extend(f, p: Dist, zero=None):
     """Linear extension of f over the unit: the weighted sum of f's values.
 
     f maps points to scalars or to distributions; the result is
     sum of p(x)*f(x) in the matching module. `zero` supplies the result
     for an empty p when it cannot be inferred (defaults to f.zero when f
-    carries one, else the scalar zero).
+    carries one, else the scalar zero). f's values must all have one
+    shape: a mix of scalars and distributions is a TypeError.
     """
     sr = p.semiring
-    acc = None
-    for x, c in p._w.items():
-        term = scale_value(sr, c, f(x))
-        acc = term if acc is None else add_values(sr, acc, term)
-    if acc is not None:
+    items = iter(p._w.items())
+    head = next(items, None)
+    if head is None:
+        if zero is not None:
+            return zero
+        z = getattr(f, "zero", None)
+        return z if z is not None else sr.zero
+    x, c = head
+    first = f(x)
+    if not isinstance(first, Dist):
+        mul, add, coerce = sr.mul, sr.add, sr.coerce
+        acc = mul(c, coerce(first))
+        for x, c in items:
+            v = f(x)
+            if isinstance(v, Dist):
+                raise TypeError(_MIXED_VALUES)
+            acc = add(acc, mul(c, coerce(v)))
         return acc
-    if zero is not None:
-        return zero
-    z = getattr(f, "zero", None)
-    return z if z is not None else sr.zero
+    # p's weights are nonzero and a Semiring has no zero divisors, so
+    # only the sums can cancel; the first value seeds the accumulator.
+    vsr = first.semiring
+    mul, coerce = vsr.mul, vsr.coerce
+    c = coerce(c)
+    acc = {y: mul(c, w) for y, w in first._w.items()}
+    for x, c in items:
+        v = f(x)
+        if not isinstance(v, Dist):
+            raise TypeError(_MIXED_VALUES)
+        _same_semiring(first, v)
+        c = coerce(c)
+        _accumulate(acc, [(y, mul(c, w)) for y, w in v._w.items()], vsr)
+    return Dist._of(acc, vsr)
 
 
 # -- biproduct structure ----------------------------------------------------

@@ -180,7 +180,7 @@ def gen_dist(rng, cfg, space: FiniteSpace, semiring: Semiring = RATIONALS,
              min_support=0) -> Dist:
     k = rng.randint(min_support, min(cfg.max_support, len(space)))
     points = rng.sample(space.elements, k)
-    return Dist(((x, gen_scalar(rng, cfg, semiring)) for x in points), semiring)
+    return Dist._of({x: gen_scalar(rng, cfg, semiring) for x in points}, semiring)
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +196,7 @@ def gen_rational_point(rng, cfg) -> Fraction:
 def gen_line_dist(rng, cfg, min_support=0) -> Dist:
     k = rng.randint(min_support, cfg.max_support)
     points = rng.sample(_line_pool(cfg.coefficient_bound), k)
-    return Dist((x, gen_scalar(rng, cfg)) for x in points)
+    return Dist._of({x: gen_scalar(rng, cfg) for x in points}, RATIONALS)
 
 
 def gen_nested(rng, cfg, space, semiring: Semiring = RATIONALS, depth=2,

@@ -80,6 +80,20 @@ def apply_fn(phi, x):
     return phi(x)
 
 
+def _on_points(phi):
+    """phi as a callable on canonical points, resolved once: a mapping
+    becomes its lookup, anything else is returned as is."""
+    if not isinstance(phi, Mapping):
+        return phi
+
+    def lookup(x):
+        if x not in phi:
+            raise DomainError(f"test function undefined at {x!r}")
+        return phi[x]
+
+    return lookup
+
+
 def codomain_zero(phi, semiring: Semiring = RATIONALS):
     """Best-effort zero of phi's codomain: an explicit TestFn zero, or the
     zero matching a table's values; None when nothing is known."""
@@ -105,7 +119,7 @@ def pair(p: Dist, phi, zero=None):
     """
     if zero is None:
         zero = codomain_zero(phi, p.semiring)
-    return linear_extend(lambda x: apply_fn(phi, x), p, zero=zero)
+    return linear_extend(_on_points(phi), p, zero=zero)
 
 
 class Functional:
@@ -139,12 +153,19 @@ def eval_at_eta(functional: Functional) -> Dist:
 
 
 def fn_action(p: Dist, phi) -> Dist:
-    """Reweight p pointwise by a scalar-valued function: {x: p(x)*phi(x)}."""
+    """Reweight p pointwise by a scalar-valued function: {x: p(x)*phi(x)}.
+
+    Points where phi is zero drop out; the other products are nonzero
+    because a Semiring has no zero divisors.
+    """
     sr = p.semiring
-    mul, coerce = sr.mul, sr.coerce
-    return Dist._of(
-        {x: mul(c, coerce(apply_fn(phi, x))) for x, c in p._w.items()}, sr
-    )
+    mul, coerce, zero, phi = sr.mul, sr.coerce, sr.zero, _on_points(phi)
+    w = {}
+    for x, c in p._w.items():
+        v = coerce(phi(x))
+        if v != zero:
+            w[x] = mul(c, v)
+    return Dist._of(w, sr)
 
 
 def density(q: Dist, p: Dist) -> FunTable:

@@ -105,6 +105,11 @@ class Semiring(FrozenValue):
     division makes sense. `coerce` canonicalizes user input and rejects
     inexact values such as floats. Equality and hash compare `name`,
     `zero` and `one` only.
+
+    Precondition: no zero divisors, i.e. mul(a, b) == zero only when
+    a == zero or b == zero. Distributions rely on it to build products
+    of nonzero weights (tensor, the strengths, flatten's terms) without
+    checking them for zeros. Both provided semirings meet it.
     """
 
     __slots__ = _fields = ("name", "zero", "one", "add", "mul", "coerce", "neg", "inv")

@@ -16,12 +16,10 @@ from .dist import (
     FiniteSpace,
     FunTable,
     _same_semiring,
-    add_values,
     as_point,
     flatten,
     linear_extend,
     pushforward,
-    scale_value,
     zero_like,
 )
 from .errors import DomainError
@@ -112,19 +110,11 @@ def structure_map(d: Dist, zero=None):
 
 
 def _table_mixture(d: Dist) -> FunTable:
-    sr = d.semiring
     tables = d.support()
     domain = tables[0].domain
     if any(t.domain != domain for t in tables):
         raise DomainError("cannot mix tables over different domains")
-    out = {}
-    for x in domain:
-        acc = None
-        for table, w in d.items():
-            term = scale_value(sr, w, table(x))
-            acc = term if acc is None else add_values(sr, acc, term)
-        out[x] = acc
-    return FunTable(domain, out)
+    return FunTable(domain, {x: linear_extend(lambda t: t(x), d) for x in domain})
 
 
 # -- partial-linear extensions ----------------------------------------------

@@ -1,0 +1,195 @@
+"""Zero-free construction, checked against folds written here.
+
+A zero weight can only come from a sum, so the library drops zeros in
+one accumulation routine that the constructor and every summing
+operation share. `tests/test_canonical.py` uses `Dist(...)` as its
+oracle, which goes through that same routine; the oracle here is a
+plain dict-and-Fraction fold that shares no code with the library. The
+inputs are built to cancel and reappear, e.g. [(x, a), (x, -a), (x, b)].
+
+Products are never scanned for zeros, which is sound only because a
+Semiring has no zero divisors; that precondition is tested here too.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from finmeas import (
+    BOOLEANS,
+    RATIONALS,
+    Dist,
+    dirac,
+    dist_add,
+    flatten,
+    fn_action,
+    linear_extend,
+    pair,
+    pushforward,
+    scale,
+)
+
+POINTS = st.one_of(st.sampled_from("abc"), st.integers(-2, 2).map(Fraction))
+WEIGHTS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+NONZERO = WEIGHTS.filter(bool)
+
+
+def _expand(draws):
+    terms = []
+    for x, a, mode, b in draws:
+        terms.append((x, a))
+        if mode:  # cancel the term, and with mode 2 bring the point back
+            terms.append((x, -a))
+            if mode == 2:
+                terms.append((x, b))
+    return terms
+
+
+def cancelling_terms():
+    """(point, weight) terms where some weights cancel and some points
+    come back after cancelling."""
+    draw = st.tuples(POINTS, WEIGHTS, st.integers(0, 2), WEIGHTS)
+    return st.lists(draw, max_size=6).map(_expand)
+
+
+def fold(terms):
+    """The oracle: sum the weights per point, then drop the zero sums."""
+    sums = {}
+    for x, c in terms:
+        sums[x] = sums.get(x, Fraction(0)) + c
+    return {x: c for x, c in sums.items() if c != 0}
+
+
+def assert_matches(d, terms):
+    expected = fold(terms)
+    assert d._w == expected
+    assert all(type(c) is Fraction for c in d._w.values())
+
+
+COLLAPSING_MAPS = [
+    lambda x: "one",
+    lambda x: x if isinstance(x, str) else x * x,
+    lambda x: "a" if isinstance(x, str) else Fraction(0),
+]
+
+
+@given(cancelling_terms())
+def test_constructor_matches_the_fold(terms):
+    assert_matches(Dist(terms), terms)
+
+
+def test_cancelled_point_comes_back():
+    x, a, b = "a", Fraction(3, 2), Fraction(-1, 4)
+    assert Dist([(x, a), (x, -a), (x, b)])._w == {x: b}
+    assert Dist([(x, a), (x, -a)]).is_empty()
+
+
+@given(cancelling_terms(), st.sampled_from(COLLAPSING_MAPS))
+def test_pushforward_matches_the_fold(terms, f):
+    p = Dist(terms)
+    assert_matches(pushforward(f, p), [(f(x), c) for x, c in p.items()])
+
+
+@given(cancelling_terms(), cancelling_terms())
+def test_dist_add_matches_the_fold(s, t):
+    p, q = Dist(s), Dist(t)
+    assert_matches(dist_add(p, q), list(p.items()) + list(q.items()))
+    assert dist_add(p, -p).is_empty()
+    assert dist_add(dist_add(p, -p), q) == q
+
+
+@given(st.lists(st.tuples(cancelling_terms(), NONZERO), max_size=4))
+def test_flatten_matches_the_fold(inner):
+    mixture = [(Dist(terms), c) for terms, c in inner]
+    if mixture:
+        # the first inner distribution again, negated: it cancels out
+        mixture.append((-mixture[0][0], mixture[0][1]))
+    pp = Dist(mixture)
+    assert_matches(
+        flatten(pp), [(y, c * v) for q, c in pp.items() for y, v in q.items()]
+    )
+
+
+@given(cancelling_terms(), st.lists(cancelling_terms(), min_size=1, max_size=3))
+def test_dist_valued_linear_extend_matches_the_fold(terms, kernel_terms):
+    p = Dist(terms)
+    kernels = [Dist(t) for t in kernel_terms]
+    kernels += [-k for k in kernels]  # so values can cancel across points
+
+    def f(x):
+        return kernels[sum(map(ord, repr(x))) % len(kernels)]
+
+    expected = [(y, c * v) for x, c in p.items() for y, v in f(x).items()]
+    result = linear_extend(f, p, zero=Dist.empty())
+    assert isinstance(result, Dist)
+    assert_matches(result, expected)
+
+
+@given(st.lists(st.tuples(POINTS, st.booleans()), max_size=8))
+def test_boolean_constructor_and_sum_match_the_fold(terms):
+    expected = {}
+    for x, c in terms:
+        expected[x] = expected.get(x, False) or c
+    expected = {x: c for x, c in expected.items() if c}
+    p = Dist(terms, BOOLEANS)
+    assert p._w == expected
+    assert dist_add(p, p)._w == expected
+
+
+# -- the no-zero-divisor precondition --------------------------------------
+
+
+def test_booleans_have_no_zero_divisors():
+    sr = BOOLEANS
+    for a, b in product((False, True), repeat=2):
+        if a != sr.zero and b != sr.zero:
+            assert sr.mul(a, b) != sr.zero
+
+
+@given(NONZERO, NONZERO)
+def test_rationals_have_no_zero_divisors(a, b):
+    assert RATIONALS.mul(a, b) != RATIONALS.zero
+
+
+@given(cancelling_terms())
+def test_scaling_by_zero_gives_the_empty_dist(terms):
+    p = Dist(terms)
+    assert scale(0, p) == Dist.empty()
+    assert scale(0, p)._w == {}
+    q = Dist({x: True for x, _ in terms}, BOOLEANS)
+    assert scale(False, q) == Dist.empty(BOOLEANS)
+    assert scale(False, q)._w == {}
+
+
+def test_fn_action_drops_the_points_where_phi_is_zero():
+    p = Dist({"a": 2, "b": 3, "c": Fraction(-1, 2)})
+    assert fn_action(p, {"a": 0, "b": 1, "c": 4})._w == {"b": 3, "c": -2}
+    assert fn_action(p, lambda x: 0).is_empty()
+    q = Dist({"a": True, "b": True}, BOOLEANS)
+    assert fn_action(q, lambda x: x == "a")._w == {"a": True}
+
+
+# -- linear extension needs one value shape --------------------------------
+
+MIXED = "mixes distribution values with scalar values"
+
+
+def test_linear_extend_rejects_a_distribution_then_a_scalar():
+    p = Dist({"a": 1, "b": 1})
+    with pytest.raises(TypeError, match=MIXED):
+        linear_extend(lambda x: dirac(x) if x == "a" else Fraction(1), p)
+
+
+def test_linear_extend_rejects_a_scalar_then_a_distribution():
+    p = Dist({"a": 1, "b": 1})
+    with pytest.raises(TypeError, match=MIXED):
+        linear_extend(lambda x: Fraction(1) if x == "a" else dirac(x), p)
+
+
+def test_pair_rejects_a_table_of_mixed_values():
+    p = Dist({"a": 1, "b": 1})
+    with pytest.raises(TypeError, match=MIXED):
+        pair(p, {"a": Fraction(1), "b": dirac("b")})

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from finmeas import Dist, Left, ParseError, Right
 from finmeas.jsonio import (
@@ -101,3 +102,91 @@ def test_table_round_trip():
 def test_table_values_must_be_rational_strings():
     with pytest.raises(ParseError):
         table_from_json({"a": 0.5})
+
+
+# -- fuzzing the decoders --------------------------------------------------
+#
+# Any JSON value either raises ParseError or decodes to a value that
+# encodes, decodes back equal, and encodes again to the same bytes.
+
+_TEXT = st.text(alphabet="0123456789/-abLR", max_size=5)
+_RATIONAL_TEXT = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-9, 9), st.integers(0, 9)),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False), _TEXT
+)
+# mostly well-formed leaves, so that many payloads decode
+_LEAVES = st.one_of(_RATIONAL_TEXT, st.sampled_from(["a", "b", "ab"]), _SCALARS)
+
+
+def _json_values(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(_TEXT, inner, max_size=3),
+            st.builds(lambda v: {"pair": v}, st.lists(inner, max_size=3)),
+            st.builds(lambda v: {"L": v}, inner),
+            st.builds(lambda v: {"R": v}, inner),
+        ),
+        max_leaves=6,
+    )
+
+
+_ANY_JSON = _json_values(_SCALARS)
+_POINTS = st.recursive(
+    st.one_of(_RATIONAL_TEXT, st.sampled_from(["a", "b", "ab"]), st.integers(-3, 3)),
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: {"pair": [a, b]}, inner, inner),
+        st.builds(lambda v: {"L": v}, inner),
+        st.builds(lambda v: {"R": v}, inner),
+    ),
+    max_leaves=4,
+)
+_GOOD_ENTRY = st.fixed_dictionaries({"x": _POINTS, "w": _RATIONAL_TEXT})
+_ENTRY = st.one_of(
+    _GOOD_ENTRY,
+    st.fixed_dictionaries(
+        {"x": _json_values(_LEAVES), "w": st.one_of(_RATIONAL_TEXT, _SCALARS)}
+    ),
+    _ANY_JSON,
+)
+_DIST_PAYLOADS = st.one_of(
+    st.builds(lambda es: {"points": es}, st.lists(_GOOD_ENTRY, max_size=5)),
+    st.builds(lambda es: {"points": es}, st.lists(_ENTRY, max_size=5)),
+    _ANY_JSON,
+)
+_TABLE_PAYLOADS = st.one_of(
+    st.dictionaries(
+        st.one_of(_RATIONAL_TEXT, _TEXT), st.one_of(_RATIONAL_TEXT, _SCALARS),
+        max_size=4,
+    ),
+    _ANY_JSON,
+)
+
+
+def _wire(value):
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _decodes_stably(decode, encode, obj):
+    try:
+        value = decode(obj)
+    except ParseError:
+        return
+    wire = _wire(encode(value))
+    again = decode(json.loads(wire))
+    assert again == value
+    assert _wire(encode(again)) == wire
+
+
+@given(_DIST_PAYLOADS)
+def test_dist_decoder_round_trips_or_rejects(obj):
+    _decodes_stably(dist_from_json, dist_to_json, obj)
+
+
+@given(_TABLE_PAYLOADS)
+def test_table_decoder_round_trips_or_rejects(obj):
+    _decodes_stably(table_from_json, table_to_json, obj)

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -142,3 +144,28 @@ def test_degenerate_draws_pass_every_law():
     reports = run_suite(cfg)
     assert [(r.law, r.counterexample) for r in reports if not r.passed] == []
     assert len(reports) == len(LAWS)
+
+
+# sha256 over repr([(law, passed, cases_run, repr(rng.getstate())), ...])
+# for every registered law in order, at seed 0 and 20 cases. It pins which
+# samples each law draws: a change to any generator's draw order or count
+# changes a law's RNG end state. Per-case reseeding will repin it.
+LAW_DRAWS_DIGEST = "1f05fd4b2831a149ff09afd9b4bfdf2057f68db805ca94c9f1dda542b5d4a226"
+
+
+def test_law_draws_are_pinned(monkeypatch):
+    streams = []
+
+    def recording_random(seed):
+        rng = random.Random(seed)
+        streams.append(rng)
+        return rng
+
+    monkeypatch.setattr(laws, "random", types.SimpleNamespace(Random=recording_random))
+    cfg = GenConfig(seed=0, cases=20)
+    rows = []
+    for name in LAWS:
+        report = run_law(name, cfg)
+        rows.append((name, report.passed, report.cases_run, repr(streams[-1].getstate())))
+    assert len(rows) == 55
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == LAW_DRAWS_DIGEST
