@@ -13,6 +13,7 @@ from .dist import (
     FunTable,
     Left,
     Right,
+    TestFn,
     biproduct_merge,
     biproduct_split,
     dirac,
@@ -55,7 +56,6 @@ from .line import (
 )
 from .pairing import (
     Functional,
-    TestFn,
     check_frobenius,
     check_switch,
     constant_one,

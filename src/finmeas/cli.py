@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .dist import total
 from .errors import FinmeasError, ParseError
@@ -84,7 +83,7 @@ def _cmd_tensor(args):
 def _cmd_pair(args):
     (p,) = _load_dists(args.inputs, 1)
     table = table_from_json(_read_json(args.fn))
-    return {"value": format_rational(pair(p, table, zero=Fraction(0)))}
+    return {"value": format_rational(pair(p, table))}
 
 
 def _cmd_moments(args):

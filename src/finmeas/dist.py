@@ -15,6 +15,12 @@ builds its result with `Dist._of`, which adopts its dict without a
 scan: negation, the biproduct and the line kernels cannot make a zero,
 `scale` and `fn_action` skip a zero factor, and products of nonzero
 weights stay nonzero because a Semiring has no zero divisors.
+
+Test functions: a test function is any callable on points, with scalar
+values unless it says otherwise. A FunTable's codomain is read off its
+values, and a TestFn declares its codomain's zero (`TestFn.dist_valued`
+for distribution values). `codomain_zero` alone works that zero out,
+and the linear extension of f over the empty distribution returns it.
 """
 
 from __future__ import annotations
@@ -461,26 +467,66 @@ def zero_like(v, sr: Semiring = RATIONALS):
     return sr.zero
 
 
+# -- test functions ----------------------------------------------------------
+
+
+class TestFn:
+    """A callable that declares the zero of its codomain.
+
+    Wrap a function in a TestFn when its values are not scalars, so that
+    pairing it with the empty distribution lands in the right module;
+    `dist_valued` does this for distribution-valued functions. Calls are
+    forwarded with all their arguments, so a two-argument map can declare
+    its codomain for the partial-linear extensions too.
+    """
+
+    __slots__ = ("fn", "zero", "label")
+    __test__ = False  # not a pytest class, despite the name
+
+    def __init__(self, fn, zero=None, label=None):
+        self.fn = fn
+        self.zero = zero
+        self.label = label
+
+    def __repr__(self):
+        return f"TestFn({self.label or self.fn!r})"
+
+    @classmethod
+    def dist_valued(cls, fn, semiring: Semiring = RATIONALS) -> "TestFn":
+        return cls(fn, zero=Dist.empty(semiring))
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+
+def codomain_zero(f, sr: Semiring = RATIONALS):
+    """The zero of f's codomain: a TestFn's declared zero, the zero that
+    matches a FunTable's values, or else the scalar zero of `sr`."""
+    if isinstance(f, TestFn):
+        if f.zero is not None:
+            return f.zero
+    elif isinstance(f, FunTable) and f.domain:
+        return zero_like(f.values()[0], sr)
+    return sr.zero
+
+
 _MIXED_VALUES = "linear_extend: f mixes distribution values with scalar values"
 
 
-def linear_extend(f, p: Dist, zero=None):
+def linear_extend(f, p: Dist):
     """Linear extension of f over the unit: the weighted sum of f's values.
 
-    f maps points to scalars or to distributions; the result is
-    sum of p(x)*f(x) in the matching module. `zero` supplies the result
-    for an empty p when it cannot be inferred (defaults to f.zero when f
-    carries one, else the scalar zero). f's values must all have one
-    shape: a mix of scalars and distributions is a TypeError.
+    f is a test function: it maps points to scalars or to distributions,
+    and the result is sum of p(x)*f(x) in the matching module. For an
+    empty p that sum is the zero of f's codomain, `codomain_zero(f)`.
+    f's values must all have one shape: a mix of scalars and
+    distributions is a TypeError.
     """
     sr = p.semiring
     items = iter(p._w.items())
     head = next(items, None)
     if head is None:
-        if zero is not None:
-            return zero
-        z = getattr(f, "zero", None)
-        return z if z is not None else sr.zero
+        return codomain_zero(f, sr)
     x, c = head
     first = f(x)
     if not isinstance(first, Dist):

@@ -2,7 +2,7 @@
 
 Round trips are bit-exact: rationals travel as `p/q` strings and points
 arrays are emitted in canonical order, so equal values always serialize
-to identical bytes.
+to identical bytes. JSON booleans are not points.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def point_from_json(obj):
         if RATIONAL_RE.match(obj):
             return Fraction(obj)
         return obj
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, dict) and len(obj) == 1:
         (tag, payload), = obj.items()

@@ -30,6 +30,7 @@ from .dist import (
     Dist,
     FiniteSpace,
     FunTable,
+    TestFn,
     biproduct_merge,
     biproduct_split,
     dirac,
@@ -60,7 +61,6 @@ from .line import (
     translate,
 )
 from .pairing import (
-    TestFn,
     check_frobenius,
     check_switch,
     constant_one,
@@ -288,9 +288,7 @@ def gen_poly_fn(rng, cfg) -> TestFn:
     def poly(x):
         return c0 + c1 * x + c2 * x * x
 
-    fn = TestFn.scalar(poly)
-    fn.label = f"{c0} + ({c1})x + ({c2})x^2"
-    return fn
+    return TestFn(poly, label=f"{c0} + ({c1})x + ({c2})x^2")
 
 
 def gen_dist_valued_line_fn(rng, cfg) -> TestFn:
@@ -459,7 +457,7 @@ def _total_pushforward(rng, cfg):
 def _linear_extension(rng, cfg):
     sa, sb = space_a(cfg), space_b(cfg)
     f = gen_dist_table(rng, cfg, sa, sb)
-    ext = lambda p: linear_extend(f, p, zero=Dist.empty())
+    ext = lambda p: linear_extend(f, p)
     p, q = gen_dist(rng, cfg, sa), gen_dist(rng, cfg, sa)
     c = gen_scalar(rng, cfg)
     x = rng.choice(sa.elements)
@@ -469,7 +467,7 @@ def _linear_extension(rng, cfg):
     yield ins, "ext(P+Q) = ext(P)+ext(Q)", ext(dist_add(p, q)), dist_add(ext(p), ext(q))
     yield ins, "ext(cP) = c ext(P)", ext(scale(c, p)), scale(c, ext(p))
     yield (ins, "extension of dirac is the identity",
-           linear_extend(lambda y: dirac(y), p, zero=Dist.empty()), p)
+           linear_extend(TestFn.dist_valued(dirac), p), p)
 
 
 @law("biproduct",
@@ -516,8 +514,8 @@ def _additivity(rng, cfg):
            dist_add(tensor(p, r), tensor(q, r)))
     yield (ins, "tensor right-additive", tensor(p, dist_add(r, s)),
            dist_add(tensor(p, r), tensor(p, s)))
-    yield (ins, "pairing additive in P", pair(dist_add(p, q), phi, zero=Fraction(0)),
-           pair(p, phi, zero=Fraction(0)) + pair(q, phi, zero=Fraction(0)))
+    yield (ins, "pairing additive in P", pair(dist_add(p, q), phi),
+           pair(p, phi) + pair(q, phi))
     lp, lq = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
     lr = gen_line_dist(rng, cfg)
     yield ({"P": lp, "Q": lq, "R": lr}, "convolution left-additive",
@@ -605,13 +603,12 @@ def _extension_triangles(rng, cfg):
     values = {
         (x, y): gen_dist(rng, cfg, space_b(cfg)) for x in sa for y in sb
     }
-    f = lambda x, y: values[(x, y)]
+    f = TestFn.dist_valued(lambda x, y: values[(x, y)])
     x, y = rng.choice(sa.elements), rng.choice(sb.elements)
     ins = {"x": x, "y": y}
-    yield ins, "2-linear triangle", extend_2linear(f, zero=Dist.empty())(x, dirac(y)), f(x, y)
-    yield ins, "1-linear triangle", extend_1linear(f, zero=Dist.empty())(dirac(x), y), f(x, y)
-    yield (ins, "bilinear triangle",
-           extend_bilinear(f, zero=Dist.empty())(dirac(x), dirac(y)), f(x, y))
+    yield ins, "2-linear triangle", extend_2linear(f)(x, dirac(y)), f(x, y)
+    yield ins, "1-linear triangle", extend_1linear(f)(dirac(x), y), f(x, y)
+    yield ins, "bilinear triangle", extend_bilinear(f)(dirac(x), dirac(y)), f(x, y)
 
 
 @law("extension_uniqueness",
@@ -622,28 +619,24 @@ def _extension_uniqueness(rng, cfg):
     values = {
         (x, y): gen_dist(rng, cfg, space_b(cfg)) for x in sa for y in sb
     }
-    f = lambda x, y: values[(x, y)]
+    f = TestFn.dist_valued(lambda x, y: values[(x, y)])
     x = rng.choice(sa.elements)
     q = gen_dist(rng, cfg, sb)
     p = gen_dist(rng, cfg, sa)
     y = rng.choice(sb.elements)
-    z = Dist.empty()
     yield ({"x": x, "Q": q}, "2-linear extension unique",
-           extend_2linear(f, zero=z)(x, q), extend_2linear_via_strength(f, zero=z)(x, q))
+           extend_2linear(f)(x, q), extend_2linear_via_strength(f)(x, q))
     yield ({"P": p, "y": y}, "1-linear extension unique",
-           extend_1linear(f, zero=z)(p, y), extend_1linear_via_strength(f, zero=z)(p, y))
+           extend_1linear(f)(p, y), extend_1linear_via_strength(f)(p, y))
     scalars = {(x, y): gen_scalar(rng, cfg, nonzero=False) for x in sa for y in sb}
     g = lambda x, y: scalars[(x, y)]
     yield ({"x": x, "Q": q}, "scalar-valued 2-linear extension unique",
-           extend_2linear(g, zero=Fraction(0))(x, q),
-           extend_2linear_via_strength(g, zero=Fraction(0))(x, q))
+           extend_2linear(g)(x, q), extend_2linear_via_strength(g)(x, q))
     # the bilinear extension is stage-order independent: extending the
     # first slot first agrees with extending the second slot first
-    second_first = linear_extend(
-        lambda y: linear_extend(lambda xx: f(xx, y), p, zero=z), q, zero=z
-    )
+    second_first = linear_extend(TestFn.dist_valued(lambda y: extend_1linear(f)(p, y)), q)
     yield ({"P": p, "Q": q}, "bilinear extension stage order",
-           extend_bilinear(f, zero=z)(p, q), second_first)
+           extend_bilinear(f)(p, q), second_first)
 
 
 @law("fubini",
@@ -688,14 +681,14 @@ def _tensor_symmetry_associativity(rng, cfg):
      "extension of it is the strength")
 def _tensor_initial(rng, cfg):
     sa, sb = space_a(cfg), space_b(cfg)
-    unit_pair = lambda x, y: dirac((x, y))
+    unit_pair = TestFn.dist_valued(lambda x, y: dirac((x, y)))
     p, q = gen_dist(rng, cfg, sa), gen_dist(rng, cfg, sb)
     x = rng.choice(sa.elements)
     ins = {"P": p, "Q": q, "x": x}
     yield (ins, "extend_bilinear(dirac pair) = tensor",
-           extend_bilinear(unit_pair, zero=Dist.empty())(p, q), tensor(p, q))
+           extend_bilinear(unit_pair)(p, q), tensor(p, q))
     yield (ins, "extend_2linear(dirac pair) = strength_left",
-           extend_2linear(unit_pair, zero=Dist.empty())(x, q), strength_left(x, q))
+           extend_2linear(unit_pair)(x, q), strength_left(x, q))
 
 
 @law("cotensor",
@@ -710,7 +703,7 @@ def _cotensor(rng, cfg):
     yield ({"g": g, "x": x}, "cotensor of a point mass evaluates the table",
            cotensor_strength(dirac(g), x), dirac(g(x)))
     yield ({"PF": pf, "x": x}, "cotensor is linear in the mixture", cotensor_strength(pf, x),
-           linear_extend(lambda t: dirac(t(x)), pf, zero=Dist.empty()))
+           linear_extend(TestFn.dist_valued(lambda t: dirac(t(x))), pf))
     h = gen_map(rng, sb, sc)
     post = lambda t: FunTable(sa, {a: h(t(a)) for a in sa})
     yield ({"PF": pf, "h": h, "x": x}, "cotensor natural in the codomain",
@@ -737,8 +730,7 @@ def _pairing_extranatural(rng, cfg):
     f = gen_map(rng, sa, sb)
     phi = gen_scalar_table(rng, cfg, sb)
     yield ({"P": p, "f": f, "phi": phi}, "extranaturality",
-           pair(pushforward(f, p), phi, zero=Fraction(0)),
-           pair(p, lambda x: phi(f(x)), zero=Fraction(0)))
+           pair(pushforward(f, p), phi), pair(p, lambda x: phi(f(x))))
 
 
 @law("total_as_pairing", "total(P) = <P, 1>")
@@ -751,17 +743,16 @@ def _total_as_pairing(rng, cfg):
      "the pairing is linear in the distribution and in the test function")
 def _pairing_bilinear(rng, cfg):
     sa = space_a(cfg)
-    pairing = lambda p, t: pair(p, t, zero=Fraction(0))
     pp = gen_nested(rng, cfg, sa, depth=2)
     phi = gen_scalar_table(rng, cfg, sa)
     yield ({"PP": pp, "phi": phi}, "pairing linear in P",
-           check_1linear(pairing, [(pp, phi)]), True)
+           check_1linear(pair, [(pp, phi)]), True)
     p = gen_dist(rng, cfg, sa)
     tables = [gen_scalar_table(rng, cfg, sa) for _ in range(rng.randint(1, 3))]
     tt = Dist((t, gen_scalar(rng, cfg)) for t in tables)
     if not tt.is_empty():
         yield ({"P": p, "TT": tt}, "pairing linear in phi",
-               check_2linear(pairing, [(p, tt)]), True)
+               check_2linear(pair, [(p, tt)]), True)
 
 
 @law("semantics_monic",
@@ -776,8 +767,8 @@ def _switch(rng, cfg):
     sa, sb = space_a(cfg), space_b(cfg)
     p = gen_dist(rng, cfg, sa)
     phi = gen_scalar_table(rng, cfg, sa)
-    psi = TestFn.from_table(gen_dist_table(rng, cfg, sa, sb))
-    chi = TestFn.from_table(gen_scalar_table(rng, cfg, sa))
+    psi = gen_dist_table(rng, cfg, sa, sb)
+    chi = gen_scalar_table(rng, cfg, sa)
     yield {"P": p, "phi": phi, "psi": psi}, "vector psi", check_switch(p, phi, psi), True
     yield {"P": p, "phi": phi, "psi": chi}, "scalar psi", check_switch(p, phi, chi), True
 
@@ -1036,7 +1027,7 @@ def _leibniz_residual(rng, cfg):
     ins = {"P": p, "Q": q, "c": c, "d": d, "phi": phi}
     yield ins, "additive in P", res(dist_add(p, q)), dist_add(res(p), res(q))
     yield ins, "homogeneous in P", res(scale(c, p)), scale(c, res(p))
-    const = TestFn.scalar(lambda _: Fraction(5, 3))
+    const = lambda _: Fraction(5, 3)
     yield {"P": p, "d": d}, "constant phi", leibniz_residual(p, const, step), Dist.empty()
 
 
@@ -1051,7 +1042,7 @@ def _conditioning(rng, cfg):
     p = gen_prob_dist(rng, cfg, sa)
     for _ in range(50):
         event = gen_event(rng, sa)
-        if pair(p, event, zero=Fraction(0)) != 0:
+        if pair(p, event) != 0:
             break
     else:
         return  # astronomically unlikely; skip this draw

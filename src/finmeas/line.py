@@ -14,7 +14,9 @@ from fractions import Fraction
 
 from .dist import (
     Dist,
+    TestFn,
     _require_points,
+    codomain_zero,
     dirac,
     dist_sub,
     flatten,
@@ -25,7 +27,7 @@ from .dist import (
     total,
 )
 from .errors import DomainError, NoPrimitiveError, NormalizationError
-from .pairing import TestFn, apply_fn, fn_action, pair
+from .pairing import fn_action, pair
 from .scalars import RATIONALS, FrozenValue
 from .strength import tensor
 
@@ -87,7 +89,7 @@ def moment(p: Dist, n: int) -> Fraction:
     _require_line(p)
     if n < 0:
         raise ValueError("moment order must be a natural number")
-    return pair(p, lambda x: x**n, zero=Fraction(0))
+    return pair(p, lambda x: x**n)
 
 
 def expectation(p: Dist) -> Fraction:
@@ -148,13 +150,12 @@ def fn_derivative(phi, step: Step) -> TestFn:
     distribution-valued functions alike."""
     d = step.d
     inv = 1 / d
-    zero = getattr(phi, "zero", None)
 
     def diff(x):
-        delta = sub_values(RATIONALS, apply_fn(phi, x + d), apply_fn(phi, x))
+        delta = sub_values(RATIONALS, phi(x + d), phi(x))
         return scale_value(RATIONALS, inv, delta)
 
-    return TestFn(diff, zero=zero)
+    return TestFn(diff, zero=codomain_zero(phi, RATIONALS))
 
 
 def primitive(q: Dist, step: Step) -> Dist:

@@ -8,61 +8,22 @@ weighted sum.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 from .dist import (
     Dist,
     FiniteSpace,
     FunTable,
-    as_point,
+    TestFn,
+    codomain_zero,
     dirac,
     linear_extend,
     pushforward,
     scale_value,
     total,
-    zero_like,
 )
-from .errors import DomainError, NoDensityError
+from .errors import NoDensityError
 from .scalars import RATIONALS, Semiring
-
-
-class TestFn:
-    """A test function: points to scalars or to distributions.
-
-    Wrapping a callable in a TestFn records the codomain's zero, which is
-    what the pairing must return against the empty distribution. Bare
-    callables, mappings and FunTables are accepted throughout this module
-    too; they default to scalar codomain in the empty case.
-    """
-
-    __slots__ = ("fn", "zero", "label")
-    __test__ = False  # not a pytest class, despite the name
-
-    def __init__(self, fn: Callable, zero=None, label=None):
-        self.fn = fn
-        self.zero = zero
-        self.label = label
-
-    def __repr__(self):
-        return f"TestFn({self.label or self.fn!r})"
-
-    @classmethod
-    def scalar(cls, fn, semiring: Semiring = RATIONALS) -> "TestFn":
-        return cls(fn, zero=semiring.zero)
-
-    @classmethod
-    def dist_valued(cls, fn, semiring: Semiring = RATIONALS) -> "TestFn":
-        return cls(fn, zero=Dist.empty(semiring))
-
-    @classmethod
-    def from_table(cls, table: FunTable, semiring: Semiring = RATIONALS) -> "TestFn":
-        zero = next(
-            (zero_like(v, semiring) for v in table.values()), semiring.zero
-        )
-        return cls(table, zero=zero)
-
-    def __call__(self, x):
-        return self.fn(x)
 
 
 def constant_one(semiring: Semiring = RATIONALS) -> TestFn:
@@ -70,56 +31,16 @@ def constant_one(semiring: Semiring = RATIONALS) -> TestFn:
     return TestFn(lambda x: semiring.one, zero=semiring.zero)
 
 
-def apply_fn(phi, x):
-    """Evaluate phi (callable, TestFn, FunTable or mapping) at a point."""
-    if isinstance(phi, Mapping):
-        x = as_point(x)
-        if x not in phi:
-            raise DomainError(f"test function undefined at {x!r}")
-        return phi[x]
-    return phi(x)
-
-
-def _on_points(phi):
-    """phi as a callable on canonical points, resolved once: a mapping
-    becomes its lookup, anything else is returned as is."""
-    if not isinstance(phi, Mapping):
-        return phi
-
-    def lookup(x):
-        if x not in phi:
-            raise DomainError(f"test function undefined at {x!r}")
-        return phi[x]
-
-    return lookup
-
-
-def codomain_zero(phi, semiring: Semiring = RATIONALS):
-    """Best-effort zero of phi's codomain: an explicit TestFn zero, or the
-    zero matching a table's values; None when nothing is known."""
-    z = getattr(phi, "zero", None)
-    if z is not None:
-        return z
-    if isinstance(phi, FunTable):
-        return next(
-            (zero_like(v, semiring) for v in phi.values()), semiring.zero
-        )
-    return None
-
-
-def pair(p: Dist, phi, zero=None):
+def pair(p: Dist, phi):
     """The integration pairing: sum of p(x)*phi(x) over the support.
 
-    phi must be defined on all of p's support; its values may be scalars
-    or distributions (the two module shapes in use). The pairing against
-    a globally defined phi is nothing but the linear extension of phi,
-    so that is literally how it is computed. For empty p the result is
-    `zero` if given, else the codomain zero recorded on phi, else the
-    scalar zero.
+    phi is a test function defined on all of p's support; its values may
+    be scalars or distributions (the two module shapes in use). The
+    pairing against a globally defined phi is nothing but the linear
+    extension of phi, so that is literally how it is computed; for an
+    empty p it is the zero of phi's codomain (`codomain_zero`).
     """
-    if zero is None:
-        zero = codomain_zero(phi, p.semiring)
-    return linear_extend(_on_points(phi), p, zero=zero)
+    return linear_extend(phi, p)
 
 
 class Functional:
@@ -131,13 +52,13 @@ class Functional:
         self.apply = apply
         self.semiring = semiring
 
-    def __call__(self, phi, zero=None):
-        return self.apply(phi, zero)
+    def __call__(self, phi):
+        return self.apply(phi)
 
 
 def semantics(p: Dist) -> Functional:
     """The double-dualization view of p: the functional phi -> <p, phi>."""
-    return Functional(lambda phi, zero=None: pair(p, phi, zero=zero), p.semiring)
+    return Functional(lambda phi: pair(p, phi), p.semiring)
 
 
 def eval_at_eta(functional: Functional) -> Dist:
@@ -159,7 +80,7 @@ def fn_action(p: Dist, phi) -> Dist:
     because a Semiring has no zero divisors.
     """
     sr = p.semiring
-    mul, coerce, zero, phi = sr.mul, sr.coerce, sr.zero, _on_points(phi)
+    mul, coerce, zero = sr.mul, sr.coerce, sr.zero
     w = {}
     for x, c in p._w.items():
         v = coerce(phi(x))
@@ -189,12 +110,11 @@ def density(q: Dist, p: Dist) -> FunTable:
 def fn_pointwise_mul(phi, psi, semiring: Semiring = RATIONALS) -> TestFn:
     """Pointwise product of a scalar function with a (scalar- or
     distribution-valued) function."""
-    zero = codomain_zero(psi, semiring)
 
     def product(x):
-        return scale_value(semiring, semiring.coerce(apply_fn(phi, x)), apply_fn(psi, x))
+        return scale_value(semiring, semiring.coerce(phi(x)), psi(x))
 
-    return TestFn(product, zero=zero)
+    return TestFn(product, zero=codomain_zero(psi, semiring))
 
 
 def check_switch(p: Dist, phi, psi) -> bool:
@@ -208,10 +128,10 @@ def check_frobenius(f, p: Dist, phi) -> bool:
     """Does pushing forward then reweighting equal reweighting the
     pullback then pushing forward, on this instance?"""
     lhs = fn_action(pushforward(f, p), phi)
-    rhs = pushforward(f, fn_action(p, lambda x: apply_fn(phi, f(x))))
+    rhs = pushforward(f, fn_action(p, lambda x: phi(f(x))))
     return lhs == rhs
 
 
 def pairing_equals_action_total(p: Dist, phi) -> bool:
     """Does <p, phi> equal total(p |- phi) on this instance?"""
-    return pair(p, phi, zero=p.semiring.zero) == total(fn_action(p, phi))
+    return pair(p, phi) == total(fn_action(p, phi))

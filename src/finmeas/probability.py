@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .dist import Dist, FunTable, _require_points, pushforward, scale, total
 from .errors import ConditioningError, NormalizationError
-from .pairing import apply_fn, fn_action, pair
+from .pairing import fn_action, pair
 from .scalars import RATIONALS, Semiring
 from .strength import tensor
 
@@ -42,7 +42,6 @@ def indicator(pred, semiring: Semiring = RATIONALS):
     def event(x):
         return semiring.one if pred(x) else semiring.zero
 
-    event.zero = semiring.zero
     return event
 
 
@@ -64,7 +63,7 @@ def condition(p: Dist, event) -> Dist:
     sr = p.semiring
     if sr.inv is None:
         raise ConditioningError(f"{sr.name} scalars have no division")
-    mass = pair(p, event, zero=sr.zero)
+    mass = pair(p, event)
     if mass == sr.zero:
         raise ConditioningError("conditioning on a null event")
     return scale(sr.inv(mass), fn_action(p, event))

@@ -15,8 +15,10 @@ from .dist import (
     Dist,
     FiniteSpace,
     FunTable,
+    TestFn,
     _same_semiring,
     as_point,
+    codomain_zero,
     flatten,
     linear_extend,
     pushforward,
@@ -93,8 +95,8 @@ def structure_map(d: Dist, zero=None):
 
     Dist-valued points mix by flatten; scalar points take the weighted
     sum of the points themselves; function tables mix pointwise (the
-    canonical algebra on a function space). `zero` disambiguates the
-    empty case.
+    canonical algebra on a function space). An empty distribution names
+    no module, so its result is the caller's `zero`.
     """
     if d.is_empty():
         if zero is None:
@@ -120,61 +122,58 @@ def _table_mixture(d: Dist) -> FunTable:
 # -- partial-linear extensions ----------------------------------------------
 
 
-def extend_2linear(f, zero=None):
+def extend_2linear(f):
     """Extend f(x, y), given on plain points, to accept a distribution in
-    the second slot, linearly: (x, Q) -> sum of Q(y)*f(x, y)."""
+    the second slot, linearly: (x, Q) -> sum of Q(y)*f(x, y). An empty Q
+    gives the zero of f's codomain (declare it by making f a TestFn)."""
 
     def extended(x, q: Dist):
-        return linear_extend(lambda y: f(x, y), q, zero=zero)
+        g = TestFn(lambda y: f(x, y), codomain_zero(f, q.semiring))
+        return linear_extend(g, q)
 
     return extended
 
 
-def extend_1linear(f, zero=None):
+def extend_1linear(f):
     """Mirror of extend_2linear for the first slot."""
 
     def extended(p: Dist, y):
-        return linear_extend(lambda x: f(x, y), p, zero=zero)
+        g = TestFn(lambda x: f(x, y), codomain_zero(f, p.semiring))
+        return linear_extend(g, p)
 
     return extended
 
 
-def extend_bilinear(f, zero=None):
+def extend_bilinear(f):
     """Extend f(x, y) to distributions in both slots (staged: first slot
     first, then the second)."""
-    second = extend_2linear(f, zero=zero)
+    second = extend_2linear(f)
 
     def extended(p: Dist, q: Dist):
-        return linear_extend(lambda x: second(x, q), p, zero=zero)
+        g = TestFn(lambda x: second(x, q), codomain_zero(f, p.semiring))
+        return linear_extend(g, p)
 
     return extended
 
 
-def extend_2linear_via_strength(f, zero=None):
+def extend_2linear_via_strength(f):
     """Independent construction of the same second-slot extension, routed
     through strength_left and the module structure map instead of a
     direct weighted sum. Used to cross-check extend_2linear."""
 
     def extended(x, q: Dist):
         image = pushforward(lambda xy: f(xy[0], xy[1]), strength_left(x, q))
-        return structure_map(image, zero=_resolve_zero(zero, f, q))
+        return structure_map(image, zero=codomain_zero(f, q.semiring))
 
     return extended
 
 
-def extend_1linear_via_strength(f, zero=None):
+def extend_1linear_via_strength(f):
     def extended(p: Dist, y):
         image = pushforward(lambda xy: f(xy[0], xy[1]), strength_right(p, y))
-        return structure_map(image, zero=_resolve_zero(zero, f, p))
+        return structure_map(image, zero=codomain_zero(f, p.semiring))
 
     return extended
-
-
-def _resolve_zero(zero, f, d: Dist):
-    if zero is not None:
-        return zero
-    z = getattr(f, "zero", None)
-    return z if z is not None else d.semiring.zero
 
 
 # -- linearity predicates ----------------------------------------------------

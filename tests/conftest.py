@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from finmeas import BOOLEANS, Dist, FiniteSpace, Left, Right
+from finmeas import BOOLEANS, Dist, FiniteSpace, FunTable, Left, Right
+
+
+def table(mapping) -> FunTable:
+    """A test function given by a dict: the FunTable on exactly its keys."""
+    return FunTable(FiniteSpace(mapping), mapping)
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from finmeas import (
     BOOLEANS,
     RATIONALS,
     Dist,
+    TestFn,
     dirac,
     dist_add,
     flatten,
@@ -31,6 +32,8 @@ from finmeas import (
     pushforward,
     scale,
 )
+
+from .conftest import table
 
 POINTS = st.one_of(st.sampled_from("abc"), st.integers(-2, 2).map(Fraction))
 WEIGHTS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
@@ -123,7 +126,7 @@ def test_dist_valued_linear_extend_matches_the_fold(terms, kernel_terms):
         return kernels[sum(map(ord, repr(x))) % len(kernels)]
 
     expected = [(y, c * v) for x, c in p.items() for y, v in f(x).items()]
-    result = linear_extend(f, p, zero=Dist.empty())
+    result = linear_extend(TestFn.dist_valued(f), p)
     assert isinstance(result, Dist)
     assert_matches(result, expected)
 
@@ -166,7 +169,7 @@ def test_scaling_by_zero_gives_the_empty_dist(terms):
 
 def test_fn_action_drops_the_points_where_phi_is_zero():
     p = Dist({"a": 2, "b": 3, "c": Fraction(-1, 2)})
-    assert fn_action(p, {"a": 0, "b": 1, "c": 4})._w == {"b": 3, "c": -2}
+    assert fn_action(p, table({"a": 0, "b": 1, "c": 4}))._w == {"b": 3, "c": -2}
     assert fn_action(p, lambda x: 0).is_empty()
     q = Dist({"a": True, "b": True}, BOOLEANS)
     assert fn_action(q, lambda x: x == "a")._w == {"a": True}
@@ -192,4 +195,4 @@ def test_linear_extend_rejects_a_scalar_then_a_distribution():
 def test_pair_rejects_a_table_of_mixed_values():
     p = Dist({"a": 1, "b": 1})
     with pytest.raises(TypeError, match=MIXED):
-        pair(p, {"a": Fraction(1), "b": dirac("b")})
+        pair(p, table({"a": Fraction(1), "b": dirac("b")}))

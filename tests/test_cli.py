@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -174,6 +175,15 @@ def test_laws_subcommand_all_pass(capsys):
     reports = json.loads(out)
     assert all(r["passed"] for r in reports)
     assert len(reports) > 50
+
+
+def test_laws_output_bytes_are_pinned(capsys):
+    # sha256 of `finmeas laws --seed 0 --cases 20` stdout; a change that
+    # keeps every law and every draw keeps these bytes
+    code, out, _ = run_cli(capsys, ["laws", "--seed", "0", "--cases", "20"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "f0f1040ef9a8159c67b360e64a7eb5c76ce2ec6aa06ab3b3737bab7344fb1e50"
 
 
 def test_laws_selection(capsys):

@@ -11,6 +11,7 @@ from finmeas import (
     FunTable,
     Left,
     Right,
+    TestFn,
     biproduct_merge,
     biproduct_split,
     dirac,
@@ -72,7 +73,7 @@ def test_flatten_rejects_plain_points():
 
 def test_linear_extend_of_dirac_is_identity():
     p = Dist({"a": 2, "b": 5})
-    assert linear_extend(dirac, p, zero=Dist.empty()) == p
+    assert linear_extend(TestFn.dist_valued(dirac), p) == p
 
 
 def test_linear_extend_triangle():

@@ -83,6 +83,9 @@ def test_duplicate_points_merge_on_decode():
         {"points": [{"x": "1", "w": "1/2", "extra": 1}]},
         {"points": [{"x": {"pair": ["1"]}, "w": "1"}]},
         {"points": [{"x": 1.5, "w": "1"}]},
+        {"points": [{"x": True, "w": "1"}]},
+        {"points": [{"x": {"pair": [False, "a"]}, "w": "1"}]},
+        {"points": [{"x": {"L": True}, "w": "1"}]},
     ],
 )
 def test_malformed_payloads_rejected(payload):

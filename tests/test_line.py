@@ -12,7 +12,6 @@ from finmeas import (
     NoPrimitiveError,
     NormalizationError,
     Step,
-    TestFn,
     center_of_gravity,
     convolution_power,
     convolve,
@@ -143,21 +142,21 @@ def test_derivative_total_and_expectation(p):
 
 
 def test_fn_derivative_difference_quotient():
-    phi = TestFn.scalar(lambda x: x * x)
+    phi = lambda x: x * x
     dphi = fn_derivative(phi, Step(1))
     assert dphi(Fraction(0)) == 1
     assert dphi(Fraction(3)) == 7
 
 
 def test_fn_derivative_of_constant_vanishes():
-    dphi = fn_derivative(TestFn.scalar(lambda x: Fraction(5)), Step(HALF))
+    dphi = fn_derivative(lambda x: Fraction(5), Step(HALF))
     assert dphi(Fraction(2)) == 0
 
 
 @given(line_dists())
 def test_derivative_pairs_with_fn_derivative(p):
     step = Step(Fraction(2, 3))
-    phi = TestFn.scalar(lambda x: 3 * x * x - x + 2)
+    phi = lambda x: 3 * x * x - x + 2
     assert pair(derivative(p, step), phi) == pair(p, fn_derivative(phi, step))
 
 
@@ -229,13 +228,13 @@ def test_interval_power_totals():
 
 
 def test_leibniz_residual_spec_point():
-    res = leibniz_residual(dirac(Fraction(0)), TestFn.scalar(lambda x: x), Step(1))
+    res = leibniz_residual(dirac(Fraction(0)), lambda x: x, Step(1))
     assert res == Dist({1: 1, 0: -1})
 
 
 def test_leibniz_residual_constant_fn():
     p = Dist({0: 1, HALF: -2})
-    res = leibniz_residual(p, TestFn.scalar(lambda x: Fraction(4)), Step(HALF))
+    res = leibniz_residual(p, lambda x: Fraction(4), Step(HALF))
     assert res.is_empty()
 
 
@@ -244,7 +243,7 @@ def test_leibniz_residual_closed_form_on_point_masses(p):
     # brute-force oracle for the closed form, checked termwise over p
     step = Step(Fraction(2, 3))
     d = step.d
-    phi = TestFn.scalar(lambda x: x * x - 2 * x)
+    phi = lambda x: x * x - 2 * x
     expected = Dist.empty()
     for x, w in p.items():
         coeff = (phi(x + d) - phi(x)) / d

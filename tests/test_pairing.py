@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+import finmeas
+import finmeas.dist
+import finmeas.pairing
 from finmeas import (
     Dist,
     DomainError,
-    FiniteSpace,
-    FunTable,
     NoDensityError,
+    Step,
     TestFn,
     check_frobenius,
     check_switch,
@@ -16,25 +18,31 @@ from finmeas import (
     density,
     dirac,
     eval_at_eta,
+    extend_1linear,
+    extend_2linear,
+    extend_bilinear,
     fn_action,
+    fn_derivative,
     fn_pointwise_mul,
+    linear_extend,
     pair,
     semantics,
     total,
 )
 from finmeas.pairing import pairing_equals_action_total
+from finmeas.strength import extend_1linear_via_strength, extend_2linear_via_strength
 
-from .conftest import atom_dists
+from .conftest import atom_dists, table
 
 
 def test_pairing_on_dirac_evaluates():
-    phi = {"x": Fraction(7, 2)}
+    phi = table({"x": Fraction(7, 2)})
     assert pair(dirac("x"), phi) == Fraction(7, 2)
 
 
 def test_pairing_weighted_sum_by_hand():
     p = Dist({"a": 2, "b": 3})
-    phi = {"a": 5, "b": 7}
+    phi = table({"a": 5, "b": 7})
     assert pair(p, phi) == 31
 
 
@@ -46,31 +54,78 @@ def test_pairing_against_one_is_total():
 def test_pairing_undefined_point_is_domain_error():
     p = Dist({"a": 1, "b": 1})
     with pytest.raises(DomainError):
-        pair(p, {"a": 1})
+        pair(p, table({"a": 1}))
 
 
 def test_pairing_with_distribution_values():
     p = Dist({"a": 2, "b": 1})
-    psi = {"a": Dist({"u": 1}), "b": Dist({"u": -2, "v": 1})}
+    psi = table({"a": Dist({"u": 1}), "b": Dist({"u": -2, "v": 1})})
     assert pair(p, psi) == Dist({"v": 1})
 
 
 def test_pairing_of_empty_uses_codomain_zero():
     empty = Dist.empty()
-    assert pair(empty, {"a": Fraction(1)}) == 0
-    table = FunTable(FiniteSpace(("a",)), {"a": Dist({"u": 1})})
-    assert pair(empty, table) == Dist.empty()
+    assert pair(empty, table({"a": Fraction(1)})) == 0
+    assert pair(empty, table({"a": Dist({"u": 1})})) == Dist.empty()
     assert pair(empty, TestFn.dist_valued(lambda x: dirac(x))) == Dist.empty()
+
+
+# Each test function, with a two-argument map of the same codomain and
+# that codomain's zero.
+CODOMAINS = {
+    "dist-valued table": (
+        table({"a": Dist({"u": 1}), "b": Dist({"v": 2})}),
+        TestFn.dist_valued(lambda x, y: dirac((x, y))),
+        Dist.empty(),
+    ),
+    "dist-valued callable": (
+        TestFn.dist_valued(dirac),
+        TestFn.dist_valued(lambda x, y: dirac((x, y))),
+        Dist.empty(),
+    ),
+    "scalar callable": (lambda x: Fraction(2), lambda x, y: Fraction(3), Fraction(0)),
+}
+
+
+@pytest.mark.parametrize("name", CODOMAINS)
+def test_every_empty_route_gives_the_one_codomain_zero(name):
+    phi, f, zero = CODOMAINS[name]
+    empty, p = Dist.empty(), Dist({"a": 2, "b": -1})
+    results = {
+        "pair": pair(empty, phi),
+        "linear_extend": linear_extend(phi, empty),
+        "semantics": semantics(empty)(phi),
+        "fn_derivative": pair(empty, fn_derivative(phi, Step(1))),
+        "fn_pointwise_mul": pair(empty, fn_pointwise_mul(constant_one(), phi)),
+        "extend_2linear": extend_2linear(f)("a", empty),
+        "extend_1linear": extend_1linear(f)(empty, "u"),
+        "extend_bilinear, empty first": extend_bilinear(f)(empty, p),
+        "extend_bilinear, empty second": extend_bilinear(f)(p, empty),
+        "extend_2linear_via_strength": extend_2linear_via_strength(f)("a", empty),
+        "extend_1linear_via_strength": extend_1linear_via_strength(f)(empty, "u"),
+    }
+    for route, result in results.items():
+        assert type(result) is type(zero) and result == zero, route
+
+
+def test_testfn_has_one_home():
+    assert finmeas.TestFn is finmeas.dist.TestFn is finmeas.pairing.TestFn
+    # the monad_mixtures benchmark pairs against a dict lookup declared
+    # distribution-valued
+    kernel = {"a": Dist({"u": 1}), "b": Dist({"u": -2, "v": 1})}
+    phi = TestFn.dist_valued(kernel.__getitem__)
+    assert pair(Dist({"a": 2, "b": 1}), phi) == Dist({"v": 1})
+    assert pair(Dist.empty(), phi) == Dist.empty()
 
 
 def test_semantics_evaluates_test_functions():
     functional = semantics(dirac("x"))
-    assert functional({"x": Fraction(4)}) == 4
+    assert functional(table({"x": Fraction(4)})) == 4
 
 
 def test_semantics_of_empty_is_zero_functional():
     functional = semantics(Dist.empty())
-    assert functional(TestFn.scalar(lambda x: Fraction(9))) == 0
+    assert functional(lambda x: Fraction(9)) == 0
     assert functional(TestFn.dist_valued(dirac)) == Dist.empty()
 
 
@@ -80,13 +135,13 @@ def test_enough_test_functions(p):
 
 
 def test_fn_action_on_dirac():
-    phi = {"x": Fraction(3, 4)}
+    phi = table({"x": Fraction(3, 4)})
     assert fn_action(dirac("x"), phi) == Dist({"x": Fraction(3, 4)})
 
 
 def test_fn_action_drops_zeros():
     p = Dist({"a": 2, "b": 4})
-    phi = {"a": Fraction(1, 2), "b": 0}
+    phi = table({"a": Fraction(1, 2), "b": 0})
     assert fn_action(p, phi) == Dist({"a": 1})
 
 
@@ -97,8 +152,8 @@ def test_fn_action_unit():
 
 def test_action_is_associative():
     p = Dist({"a": 2, "b": 3})
-    phi1 = {"a": Fraction(1, 2), "b": 2}
-    phi2 = {"a": 4, "b": Fraction(1, 3)}
+    phi1 = table({"a": Fraction(1, 2), "b": 2})
+    phi2 = table({"a": 4, "b": Fraction(1, 3)})
     assert fn_action(fn_action(p, phi1), phi2) == fn_action(
         p, fn_pointwise_mul(phi1, phi2)
     )
@@ -133,26 +188,24 @@ def test_density_handles_missing_points_of_q():
 
 def test_switch_identity_instances():
     p = Dist({"a": 2, "b": -1})
-    phi = {"a": Fraction(1, 2), "b": 3}
-    psi = TestFn.from_table(
-        FunTable(FiniteSpace(("a", "b")), {"a": Dist({"u": 1}), "b": Dist({"v": 2})})
-    )
+    phi = table({"a": Fraction(1, 2), "b": 3})
+    psi = table({"a": Dist({"u": 1}), "b": Dist({"v": 2})})
     assert check_switch(p, phi, psi)
     assert check_switch(Dist.empty(), phi, psi)
-    chi = {"a": Fraction(7), "b": Fraction(0)}
+    chi = table({"a": Fraction(7), "b": Fraction(0)})
     assert check_switch(p, phi, chi)
 
 
 def test_frobenius_instances():
     p = Dist({"a": 2, "b": -1, "c": Fraction(1, 3)})
     f = {"a": "u", "b": "u", "c": "v"}.__getitem__
-    phi = {"u": Fraction(5), "v": Fraction(-2)}
+    phi = table({"u": Fraction(5), "v": Fraction(-2)})
     assert check_frobenius(f, p, phi)
     assert check_frobenius(f, Dist.empty(), phi)
 
 
 def test_pairing_total_corollary():
     p = Dist({"a": 2, "b": -1})
-    phi = {"a": Fraction(1, 2), "b": 3}
+    phi = table({"a": Fraction(1, 2), "b": 3})
     assert pairing_equals_action_total(p, phi)
     assert pair(p, phi) == total(fn_action(p, phi))

@@ -8,6 +8,7 @@ from finmeas import (
     DomainError,
     FiniteSpace,
     FunTable,
+    TestFn,
     check_1linear,
     check_2linear,
     check_bilinear,
@@ -139,23 +140,23 @@ def test_extension_matches_strength_route():
         (x, y): Dist({"k": i, "m": -i + 1})
         for i, (x, y) in enumerate([("a", "u"), ("a", "v"), ("b", "u"), ("b", "v")])
     }
-    f = lambda x, y: values[(x, y)]
+    f = TestFn.dist_valued(lambda x, y: values[(x, y)])
     q = Dist({"u": Fraction(1, 3), "v": -2})
-    direct = extend_2linear(f, zero=Dist.empty())
-    routed = extend_2linear_via_strength(f, zero=Dist.empty())
+    direct = extend_2linear(f)
+    routed = extend_2linear_via_strength(f)
     assert direct("a", q) == routed("a", q)
     p = Dist({"a": 5, "b": Fraction(-1, 2)})
-    direct1 = extend_1linear(f, zero=Dist.empty())
-    routed1 = extend_1linear_via_strength(f, zero=Dist.empty())
+    direct1 = extend_1linear(f)
+    routed1 = extend_1linear_via_strength(f)
     assert direct1(p, "u") == routed1(p, "u")
 
 
 def test_bilinear_extension_of_unit_pairing_is_tensor():
-    f = lambda x, y: dirac((x, y))
+    f = TestFn.dist_valued(lambda x, y: dirac((x, y)))
     p = Dist({"a": 2, "b": -1})
     q = Dist({"u": Fraction(1, 2)})
-    assert extend_bilinear(f, zero=Dist.empty())(p, q) == tensor(p, q)
-    assert extend_2linear(f, zero=Dist.empty())("a", q) == strength_left("a", q)
+    assert extend_bilinear(f)(p, q) == tensor(p, q)
+    assert extend_2linear(f)("a", q) == strength_left("a", q)
 
 
 def test_structure_map_dispatch():
