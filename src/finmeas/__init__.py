@@ -56,8 +56,6 @@ from .line import (
 )
 from .pairing import (
     Functional,
-    check_frobenius,
-    check_switch,
     constant_one,
     density,
     eval_at_eta,
@@ -73,7 +71,6 @@ from .probability import (
     is_independent,
     is_nonnegative,
     is_probability,
-    joint,
     marginals,
     normalize,
     rv_sum,
@@ -81,10 +78,6 @@ from .probability import (
 from .quantities import UnitTagged, from_pure, rescale_unit, to_pure
 from .scalars import BOOLEANS, RATIONALS, Semiring, format_rational, parse_rational
 from .strength import (
-    check_1linear,
-    check_2linear,
-    check_bilinear,
-    check_linear,
     cotensor_strength,
     enumerate_tables,
     extend_1linear,

@@ -218,6 +218,7 @@ class Dist:
     Dist itself serve as a support point of an outer Dist.
     """
 
+    # `_sorted` and `_hash` are caches, left unset until first read.
     __slots__ = ("semiring", "_w", "_sorted", "_hash")
 
     def __init__(self, weights=(), semiring: Semiring = RATIONALS):
@@ -225,7 +226,8 @@ class Dist:
         coerce, zero = semiring.coerce, semiring.zero
         terms = [(as_point(x), coerce(c)) for x, c in items]
         w = _accumulate({}, [(x, c) for x, c in terms if c != zero], semiring)
-        self._adopt(w, semiring)
+        object.__setattr__(self, "semiring", semiring)
+        object.__setattr__(self, "_w", w)
 
     @classmethod
     def _of(cls, w: dict, semiring: Semiring) -> "Dist":
@@ -240,14 +242,9 @@ class Dist:
         zeros dropped by `_accumulate` first.
         """
         self = object.__new__(cls)
-        self._adopt(w, semiring)
-        return self
-
-    def _adopt(self, w: dict, semiring: Semiring):
         object.__setattr__(self, "semiring", semiring)
         object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_sorted", None)
-        object.__setattr__(self, "_hash", None)
+        return self
 
     @classmethod
     def empty(cls, semiring: Semiring = RATIONALS) -> "Dist":
@@ -263,10 +260,12 @@ class Dist:
 
     def items(self) -> Tuple:
         """Support/weight pairs in point order (deterministic)."""
-        if self._sorted is None:
+        try:
+            return self._sorted
+        except AttributeError:  # first read: sort once and cache
             pairs = tuple(sorted(self._w.items(), key=lambda it: point_key(it[0])))
             object.__setattr__(self, "_sorted", pairs)
-        return self._sorted
+            return pairs
 
     def support(self) -> Tuple:
         return tuple(x for x, _ in self.items())
@@ -299,10 +298,12 @@ class Dist:
         return self.semiring.name == other.semiring.name and self._w == other._w
 
     def __hash__(self):
-        if self._hash is None:
+        try:
+            return self._hash
+        except AttributeError:  # first read: hash once and cache
             h = hash((self.semiring.name, frozenset(self._w.items())))
             object.__setattr__(self, "_hash", h)
-        return self._hash
+            return h
 
     def __repr__(self):
         body = ", ".join(f"{_show_point(x)}: {c}" for x, c in self.items())

@@ -2,8 +2,7 @@
 
 The pairing <P, phi> integrates a test function against a distribution;
 everything else in this module (reweighting by a function, densities,
-conditioning support, Frobenius reciprocity) is a view of that one
-weighted sum.
+conditioning support) is a view of that one weighted sum.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from .dist import (
     codomain_zero,
     dirac,
     linear_extend,
-    pushforward,
     scale_value,
-    total,
 )
 from .errors import NoDensityError
 from .scalars import RATIONALS, Semiring
@@ -116,22 +113,3 @@ def fn_pointwise_mul(phi, psi, semiring: Semiring = RATIONALS) -> TestFn:
 
     return TestFn(product, zero=codomain_zero(psi, semiring))
 
-
-def check_switch(p: Dist, phi, psi) -> bool:
-    """Does <p |- phi, psi> equal <p, phi*psi> on this instance?"""
-    lhs = pair(fn_action(p, phi), psi)
-    rhs = pair(p, fn_pointwise_mul(phi, psi, p.semiring))
-    return lhs == rhs
-
-
-def check_frobenius(f, p: Dist, phi) -> bool:
-    """Does pushing forward then reweighting equal reweighting the
-    pullback then pushing forward, on this instance?"""
-    lhs = fn_action(pushforward(f, p), phi)
-    rhs = pushforward(f, fn_action(p, lambda x: phi(f(x))))
-    return lhs == rhs
-
-
-def pairing_equals_action_total(p: Dist, phi) -> bool:
-    """Does <p, phi> equal total(p |- phi) on this instance?"""
-    return pair(p, phi) == total(fn_action(p, phi))

@@ -69,14 +69,6 @@ def condition(p: Dist, event) -> Dist:
     return scale(sr.inv(mass), fn_action(p, event))
 
 
-def joint(p: Dist, q: Dist) -> Dist:
-    """The joint distribution of two independent variables: the tensor.
-
-    Totals multiply, so total-1 inputs give a total-1 joint.
-    """
-    return tensor(p, q)
-
-
 def marginals(j: Dist) -> tuple[Dist, Dist]:
     """Project a distribution over pairs onto its two coordinates."""
     _require_points(

@@ -9,7 +9,6 @@ opposite extension order, so their equality is checked, not assumed.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable
 
 from .dist import (
     Dist,
@@ -22,7 +21,6 @@ from .dist import (
     flatten,
     linear_extend,
     pushforward,
-    zero_like,
 )
 from .errors import DomainError
 
@@ -175,56 +173,3 @@ def extend_1linear_via_strength(f):
 
     return extended
 
-
-# -- linearity predicates ----------------------------------------------------
-#
-# Linearity of a map into a module is an infinite quantification; these
-# predicates refute it on sampled inputs. Arithmetic being exact, any
-# violation on a sampled input is detected with certainty. The suite's
-# canonical regime feeds them 1000 samples with supports of size <= 4
-# and coefficients bounded by 8 in numerator and denominator.
-
-
-def check_linear(g, samples: Iterable) -> bool:
-    """g: Dist -> module value. Each sample is a distribution over
-    distributions; g is linear iff it commutes with mixing."""
-    for mixture in samples:
-        rhs = g(flatten(mixture))
-        image = pushforward(g, mixture)
-        if structure_map(image, zero=zero_like(rhs, mixture.semiring)) != rhs:
-            return False
-    return True
-
-
-def check_2linear(f, samples: Iterable) -> bool:
-    """f: (point, module element) -> module value. Each sample is a pair
-    (x, mm) with mm a distribution over module elements."""
-    for x, mm in samples:
-        rhs = f(x, structure_map(mm, zero=Dist.empty(mm.semiring)))
-        image = pushforward(lambda m: f(x, m), mm)
-        if structure_map(image, zero=zero_like(rhs, mm.semiring)) != rhs:
-            return False
-    return True
-
-
-def check_1linear(f, samples: Iterable) -> bool:
-    """Mirror of check_2linear; samples are pairs (mm, y)."""
-    for mm, y in samples:
-        rhs = f(structure_map(mm, zero=Dist.empty(mm.semiring)), y)
-        image = pushforward(lambda m: f(m, y), mm)
-        if structure_map(image, zero=zero_like(rhs, mm.semiring)) != rhs:
-            return False
-    return True
-
-
-def check_bilinear(f, samples: Iterable) -> bool:
-    """Samples are pairs (mm, nn) of distributions over module elements;
-    checks linearity in each argument with the other one mixed down."""
-    for mm, nn in samples:
-        a = structure_map(mm, zero=Dist.empty(mm.semiring))
-        b = structure_map(nn, zero=Dist.empty(nn.semiring))
-        if not check_1linear(f, [(mm, b)]):
-            return False
-        if not check_2linear(f, [(a, nn)]):
-            return False
-    return True

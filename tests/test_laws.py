@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from finmeas import BOOLEANS, RATIONALS, Dist, GenConfig, SelectionError, run_law, run_suite, total
+from finmeas import (
+    BOOLEANS, RATIONALS, Dist, GenConfig, SelectionError, run_law, run_suite, tensor, total,
+)
 from finmeas import laws
 from finmeas.laws import LAWS, Law, gen_dist, gen_scalar, law, space_a, space_b
 
@@ -169,3 +171,12 @@ def test_law_draws_are_pinned(monkeypatch):
         rows.append((name, report.passed, report.cases_run, repr(streams[-1].getstate())))
     assert len(rows) == 55
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == LAW_DRAWS_DIGEST
+
+
+def test_a_failing_linearity_law_shows_both_sides(monkeypatch):
+    # tensor(p, p) is quadratic in p, so it does not commute with mixing P
+    monkeypatch.setattr(laws, "tensor", lambda p, q: tensor(p, p))
+    report = run_law("tensor_bilinear", GenConfig(seed=0, cases=50))
+    assert report.passed is False
+    assert "tensor linear in P: Dist(" in report.counterexample
+    assert not report.counterexample.endswith("False != True")

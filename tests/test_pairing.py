@@ -12,8 +12,6 @@ from finmeas import (
     NoDensityError,
     Step,
     TestFn,
-    check_frobenius,
-    check_switch,
     constant_one,
     density,
     dirac,
@@ -26,10 +24,10 @@ from finmeas import (
     fn_pointwise_mul,
     linear_extend,
     pair,
+    pushforward,
     semantics,
     total,
 )
-from finmeas.pairing import pairing_equals_action_total
 from finmeas.strength import extend_1linear_via_strength, extend_2linear_via_strength
 
 from .conftest import atom_dists, table
@@ -190,22 +188,21 @@ def test_switch_identity_instances():
     p = Dist({"a": 2, "b": -1})
     phi = table({"a": Fraction(1, 2), "b": 3})
     psi = table({"a": Dist({"u": 1}), "b": Dist({"v": 2})})
-    assert check_switch(p, phi, psi)
-    assert check_switch(Dist.empty(), phi, psi)
     chi = table({"a": Fraction(7), "b": Fraction(0)})
-    assert check_switch(p, phi, chi)
+    for q, v in ((p, psi), (Dist.empty(), psi), (p, chi)):
+        assert pair(fn_action(q, phi), v) == pair(q, fn_pointwise_mul(phi, v))
 
 
 def test_frobenius_instances():
     p = Dist({"a": 2, "b": -1, "c": Fraction(1, 3)})
     f = {"a": "u", "b": "u", "c": "v"}.__getitem__
     phi = table({"u": Fraction(5), "v": Fraction(-2)})
-    assert check_frobenius(f, p, phi)
-    assert check_frobenius(f, Dist.empty(), phi)
+    pullback = lambda x: phi(f(x))
+    for q in (p, Dist.empty()):
+        assert fn_action(pushforward(f, q), phi) == pushforward(f, fn_action(q, pullback))
 
 
 def test_pairing_total_corollary():
     p = Dist({"a": 2, "b": -1})
     phi = table({"a": Fraction(1, 2), "b": 3})
-    assert pairing_equals_action_total(p, phi)
-    assert pair(p, phi) == total(fn_action(p, phi))
+    assert pair(p, phi) == total(fn_action(p, phi)) == Fraction(-2)

@@ -20,7 +20,6 @@ from finmeas import (
     is_independent,
     is_nonnegative,
     is_probability,
-    joint,
     marginals,
     normalize,
     pair,
@@ -93,7 +92,7 @@ def test_conditioning_keeps_total_one(p):
 def test_marginals_of_tensor_recover_factors():
     p = Dist({"a": Fraction(1, 4), "b": Fraction(3, 4)})
     q = Dist({"u": Fraction(1, 2), "v": Fraction(1, 2)})
-    j = joint(p, q)
+    j = tensor(p, q)
     assert is_probability(j)
     assert marginals(j) == (p, q)
     assert is_independent(j)
