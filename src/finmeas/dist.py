@@ -10,11 +10,15 @@ deterministically.
 Construction contract: a zero weight can only come from a sum, so zeros
 are dropped in exactly one place, `_accumulate`, which every summing
 operation (the public constructor, pushforward, flatten, dist_add and
-the Dist-valued linear extension) goes through. Every other operation
-builds its result with `Dist._of`, which adopts its dict without a
-scan: negation, the biproduct and the line kernels cannot make a zero,
-`scale` and `fn_action` skip a zero factor, and products of nonzero
-weights stay nonzero because a Semiring has no zero divisors.
+the Dist-valued linear extension) goes through. It sums each point's
+colliding terms once, after the whole stream, with the semiring's n-ary
+`sum`, and drops the sums that are zero. Scalar sums (`total`, the
+scalar linear extension and so the pairing) call `sum` once too. Every
+other operation builds its result with `Dist._of`, which adopts its
+dict without a scan: negation, the biproduct and the line kernels
+cannot make a zero, `scale` and `fn_action` skip a zero factor, and
+products of nonzero weights stay nonzero because a Semiring has no zero
+divisors.
 
 Test functions: a test function is any callable on points, with scalar
 values unless it says otherwise. A FunTable's codomain is read off its
@@ -342,15 +346,16 @@ def _show_point(x) -> str:
     return repr(x)
 
 
-def _require_points(p: Dist, ok, message: str) -> Dist:
-    """Raise DomainError unless every support point passes `ok`.
+def _require_points(p: Dist, ok, message: str, error=DomainError) -> Dist:
+    """Raise `error` unless every support point passes `ok`.
 
     The message names the first failing point in point order, so it does
-    not depend on how the distribution was built.
+    not depend on how the distribution was built. Only that error path
+    sorts the support.
     """
     if not all(map(ok, p._w)):
         x = next(x for x in p.support() if not ok(x))
-        raise DomainError(message.format(x))
+        raise error(message.format(x))
     return p
 
 
@@ -358,26 +363,51 @@ def _accumulate(acc: dict, terms, sr: Semiring) -> dict:
     """Add each (point, weight) of `terms` into `acc`, in place, and
     return `acc`.
 
+    Collisions are summed once per key, after the stream. A key's first
+    collision swaps its weight for a list of its terms, and later terms
+    append to that list. Then each collided key gets its sum: one `add`
+    for two terms, `sr.sum` for more, so a long fiber costs one exact
+    n-ary sum rather than an `add` per term. Weights are hashable
+    scalars, never lists.
+
     This is the one place a zero weight can arise, so it is the one place
-    zeros are dropped: a sum equal to `sr.zero` deletes its key, and a
-    later term at that key re-inserts it (0 + c = c). The terms' weights
-    must be nonzero.
+    zeros are dropped: a key whose terms sum to `sr.zero` is deleted. A
+    point that cancels and comes back keeps its first insertion slot,
+    which no Dist view shows. The terms' weights must be nonzero.
 
     `setdefault` inserts a new key with one lookup, so a new key is
-    hashed once and a colliding one twice; Fraction and tuple points do
-    not cache their hash, and most keys are new.
+    hashed once; Fraction and tuple points do not cache their hash, and
+    most keys are new. The side list of collided keys holds each term
+    list, so no key is looked up again to find it.
     """
-    add, zero, put = sr.add, sr.zero, acc.setdefault
+    put, collided = acc.setdefault, []
     for x, c in terms:
         n = len(acc)
         old = put(x, c)
         if len(acc) == n:
-            c = add(old, c)
-            if c == zero:
-                del acc[x]
+            if old.__class__ is list:
+                old.append(c)
             else:
-                acc[x] = c
+                acc[x] = fiber = [old, c]
+                collided.append((x, fiber))
+    zero = sr.zero
+    for x, fiber in collided:
+        c = _sum_list(fiber, sr)
+        if c == zero:
+            del acc[x]
+        else:
+            acc[x] = c
     return acc
+
+
+def _sum_list(values: list, sr: Semiring):
+    """`sr.sum(values)` for a nonempty list. A short list skips the n-ary
+    sum's set-up: one value is its own sum, and two take a single add."""
+    if len(values) > 2:
+        return sr.sum(values)
+    if len(values) == 2:
+        return sr.add(*values)
+    return values[0]
 
 
 def _same_semiring(p: Dist, q: Dist) -> Semiring:
@@ -407,16 +437,24 @@ def flatten(pp: Dist) -> Dist:
     """Monad multiplication: evaluate a mixture of distributions.
 
     Every support point of pp must itself be a Dist over pp's semiring;
-    the result is the weighted sum of the inner distributions.
+    the result is the weighted sum of the inner distributions. A point
+    that is not a Dist is named first in point order.
     """
     sr = pp.semiring
-    mul, acc = sr.mul, {}
-    for inner, c in pp._w.items():
-        if not isinstance(inner, Dist):
-            raise TypeError(f"flatten needs Dist-valued points, got {inner!r}")
+    _require_points(
+        pp, _is_dist, "flatten needs Dist-valued points, got {!r}", TypeError
+    )
+    for inner in pp._w:
         _same_semiring(pp, inner)
-        _accumulate(acc, [(y, mul(c, v)) for y, v in inner._w.items()], sr)
-    return Dist._of(acc, sr)
+    mul = sr.mul
+    terms = [
+        (y, mul(c, v)) for inner, c in pp._w.items() for y, v in inner._w.items()
+    ]
+    return Dist._of(_accumulate({}, terms, sr), sr)
+
+
+def _is_dist(x) -> bool:
+    return isinstance(x, Dist)
 
 
 def total(p: Dist):
@@ -531,28 +569,27 @@ def linear_extend(f, p: Dist):
     x, c = head
     first = f(x)
     if not isinstance(first, Dist):
-        mul, add, coerce = sr.mul, sr.add, sr.coerce
-        acc = mul(c, coerce(first))
+        mul, coerce = sr.mul, sr.coerce
+        products = [mul(c, coerce(first))]
         for x, c in items:
             v = f(x)
             if isinstance(v, Dist):
                 raise TypeError(_MIXED_VALUES)
-            acc = add(acc, mul(c, coerce(v)))
-        return acc
-    # p's weights are nonzero and a Semiring has no zero divisors, so
-    # only the sums can cancel; the first value seeds the accumulator.
+            products.append(mul(c, coerce(v)))
+        return _sum_list(products, sr)
+    # Every value is checked before any is summed. p's weights are nonzero
+    # and a Semiring has no zero divisors, so only the sums can cancel.
     vsr = first.semiring
     mul, coerce = vsr.mul, vsr.coerce
-    c = coerce(c)
-    acc = {y: mul(c, w) for y, w in first._w.items()}
+    values = [(coerce(c), first)]
     for x, c in items:
         v = f(x)
         if not isinstance(v, Dist):
             raise TypeError(_MIXED_VALUES)
         _same_semiring(first, v)
-        c = coerce(c)
-        _accumulate(acc, [(y, mul(c, w)) for y, w in v._w.items()], vsr)
-    return Dist._of(acc, vsr)
+        values.append((coerce(c), v))
+    terms = [(y, mul(c, w)) for c, v in values for y, w in v._w.items()]
+    return Dist._of(_accumulate({}, terms, vsr), vsr)
 
 
 # -- biproduct structure ----------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
+from math import gcd
 
 from .errors import ParseError
 
@@ -28,11 +30,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as `p/q`, or just `p` when the denominator is 1.
+    """Render an exact rational as `p/q`, or just `p` when the
+    denominator is 1.
 
     format_rational and parse_rational are mutually inverse bit-exactly.
+    The value goes through the rational `coerce`, so a float is a
+    TypeError rather than a binary fraction on the wire.
     """
-    value = Fraction(value)
+    value = _coerce_rational(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -106,16 +111,29 @@ class Semiring(FrozenValue):
     inexact values such as floats. Equality and hash compare `name`,
     `zero` and `one` only.
 
+    `sum(values)` is the exact n-ary sum. It is defined as the fold of
+    `add` over the values starting from `zero`, and that fold is what a
+    semiring built without `sum` gets. A semiring may pass a faster
+    routine with the same results: the rationals sum over one common
+    denominator with integer arithmetic.
+
     Precondition: no zero divisors, i.e. mul(a, b) == zero only when
     a == zero or b == zero. Distributions rely on it to build products
     of nonzero weights (tensor, the strengths, flatten's terms) without
     checking them for zeros. Both provided semirings meet it.
     """
 
-    __slots__ = _fields = ("name", "zero", "one", "add", "mul", "coerce", "neg", "inv")
+    __slots__ = _fields = (
+        "name", "zero", "one", "add", "mul", "coerce", "neg", "inv", "sum"
+    )
 
-    def __init__(self, name, zero, one, add, mul, coerce, neg=None, inv=None):
-        for f, value in zip(self._fields, (name, zero, one, add, mul, coerce, neg, inv)):
+    def __init__(self, name, zero, one, add, mul, coerce, neg=None, inv=None, sum=None):
+        if sum is None:
+            # a partial, not a bound method, so copy and pickle need only
+            # what the other fields need
+            sum = partial(_fold, add, zero)
+        values = (name, zero, one, add, mul, coerce, neg, inv, sum)
+        for f, value in zip(self._fields, values):
             object.__setattr__(self, f, value)
 
     def _key(self) -> tuple:
@@ -134,12 +152,6 @@ class Semiring(FrozenValue):
             raise TypeError(f"{self.name} semiring has no subtraction")
         return self.add(a, self.neg(b))
 
-    def sum(self, values):
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
-
     def __repr__(self):
         return f"Semiring({self.name})"
 
@@ -151,6 +163,38 @@ class Semiring(FrozenValue):
             if value is self:
                 return name
         return super().__reduce__()
+
+
+def _fold(add, zero, values):
+    acc = zero
+    for v in values:
+        acc = add(acc, v)
+    return acc
+
+
+def _rational_sum(values) -> Fraction:
+    """The exact sum of rationals (or ints) as one canonical Fraction.
+
+    The numerators are brought to a running common denominator, the lcm
+    of the denominators seen so far, with integer arithmetic alone; only
+    the result is reduced and becomes a Fraction. A Fraction add per term
+    would reduce and allocate every partial sum.
+    """
+    n, d = 0, 1
+    for v in values:
+        vn, vd = v.numerator, v.denominator
+        if vd == d:
+            n += vn
+        else:
+            g = gcd(d, vd)
+            if g != 1:
+                vd //= g
+                vn *= d // g
+            else:
+                vn *= d
+            n = n * vd + vn
+            d *= vd
+    return Fraction(n, d)
 
 
 def _rational_inv(a: Fraction) -> Fraction:
@@ -168,6 +212,7 @@ RATIONALS = Semiring(
     coerce=_coerce_rational,
     neg=lambda a: -a,
     inv=_rational_inv,
+    sum=_rational_sum,
 )
 
 BOOLEANS = Semiring(

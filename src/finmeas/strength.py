@@ -95,23 +95,35 @@ def structure_map(d: Dist, zero=None):
     sum of the points themselves; function tables mix pointwise (the
     canonical algebra on a function space). An empty distribution names
     no module, so its result is the caller's `zero`.
+
+    The first point in point order names the module. An error for a
+    point outside it names the first such point in point order, and
+    only that error path sorts the support.
     """
     if d.is_empty():
         if zero is None:
             raise ValueError("structure_map of empty distribution needs zero=")
         return zero
-    first = next(iter(d))
-    if isinstance(first, Dist):
+    points = d._w
+    # point_key ranks every other point before distributions, and
+    # distributions before tables
+    if all(isinstance(x, (Dist, FunTable)) for x in points):
+        if all(isinstance(x, FunTable) for x in points):
+            return _table_mixture(d)
         return flatten(d)
-    if isinstance(first, FunTable):
-        return _table_mixture(d)
     sr = d.semiring
-    return sr.sum(sr.mul(c, sr.coerce(x)) for x, c in d.items())
+    mul, coerce = sr.mul, sr.coerce
+    try:
+        return sr.sum([mul(c, coerce(x)) for x, c in points.items()])
+    except (TypeError, ValueError):
+        for x in d.support():
+            coerce(x)  # raises for the first bad point in point order
+        raise
 
 
 def _table_mixture(d: Dist) -> FunTable:
-    tables = d.support()
-    domain = tables[0].domain
+    tables = iter(d._w)
+    domain = next(tables).domain
     if any(t.domain != domain for t in tables):
         raise DomainError("cannot mix tables over different domains")
     return FunTable(domain, {x: linear_extend(lambda t: t(x), d) for x in domain})

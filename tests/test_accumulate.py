@@ -6,6 +6,8 @@ operation share. `tests/test_canonical.py` uses `Dist(...)` as its
 oracle, which goes through that same routine; the oracle here is a
 plain dict-and-Fraction fold that shares no code with the library. The
 inputs are built to cancel and reappear, e.g. [(x, a), (x, -a), (x, b)].
+The routine sums a point's terms once, after the stream, so inputs with
+up to 40 terms per point check those long fibers as well.
 
 Products are never scanned for zeros, which is sound only because a
 Semiring has no zero divisors; that precondition is tested here too.
@@ -28,10 +30,14 @@ from finmeas import (
     flatten,
     fn_action,
     linear_extend,
+    marginals,
     pair,
     pushforward,
     scale,
+    tensor,
 )
+
+from finmeas.dist import _accumulate
 
 from .conftest import table
 
@@ -58,6 +64,34 @@ def cancelling_terms():
     return st.lists(draw, max_size=6).map(_expand)
 
 
+def long_fibers():
+    """(point, weight) terms with 3 to 40 terms at each of a few points,
+    interleaved; some fibers cancel to zero, and some of those then get
+    one more term, so the point comes back."""
+
+    def build(draws):
+        fibers = []
+        for x, ws, mode, b in draws:
+            if mode:  # make the fiber cancel, and with mode 2 come back
+                ws = ws + [-sum(ws)] if sum(ws) else ws
+                if mode == 2:
+                    ws = ws + [b]
+            fibers.append([(x, w) for w in ws])
+        terms = []
+        for i in range(max(map(len, fibers), default=0)):
+            terms += [f[i] for f in fibers if i < len(f)]
+        return terms
+
+    fiber = st.tuples(
+        POINTS, st.lists(NONZERO, min_size=3, max_size=39), st.integers(0, 2), NONZERO
+    )
+    return st.lists(fiber, max_size=4, unique_by=lambda t: t[0]).map(build)
+
+
+def any_terms():
+    return st.one_of(cancelling_terms(), long_fibers())
+
+
 def fold(terms):
     """The oracle: sum the weights per point, then drop the zero sums."""
     sums = {}
@@ -79,7 +113,7 @@ COLLAPSING_MAPS = [
 ]
 
 
-@given(cancelling_terms())
+@given(any_terms())
 def test_constructor_matches_the_fold(terms):
     assert_matches(Dist(terms), terms)
 
@@ -90,7 +124,7 @@ def test_cancelled_point_comes_back():
     assert Dist([(x, a), (x, -a)]).is_empty()
 
 
-@given(cancelling_terms(), st.sampled_from(COLLAPSING_MAPS))
+@given(any_terms(), st.sampled_from(COLLAPSING_MAPS))
 def test_pushforward_matches_the_fold(terms, f):
     p = Dist(terms)
     assert_matches(pushforward(f, p), [(f(x), c) for x, c in p.items()])
@@ -104,7 +138,39 @@ def test_dist_add_matches_the_fold(s, t):
     assert dist_add(dist_add(p, -p), q) == q
 
 
-@given(st.lists(st.tuples(cancelling_terms(), NONZERO), max_size=4))
+def test_long_fiber_that_cancels_comes_back():
+    x, ws = "a", [Fraction(k, k + 1) for k in range(1, 40)]
+    cancelled = [(x, w) for w in ws] + [(x, -sum(ws))]
+    assert Dist(cancelled).is_empty()
+    assert Dist(cancelled + [(x, Fraction(1, 7))])._w == {x: Fraction(1, 7)}
+    # a point cancelled by a later run of terms, between other points
+    terms = [("b", 1), (x, 2), ("c", 1), (x, -1), (x, -1), ("b", 1), (x, 3)]
+    assert_matches(Dist(terms), terms)
+    assert Dist(terms).items() == ((x, 3), ("b", 2), ("c", 1))
+
+
+@given(any_terms(), long_fibers())
+def test_long_fibers_added_into_a_filled_dict_match_the_fold(s, t):
+    # what dist_add does, with many terms per point instead of one
+    p = Dist(s)
+    assert _accumulate(dict(p._w), t, RATIONALS) == fold(list(p.items()) + t)
+    assert_matches(dist_add(p, Dist(t)), list(p.items()) + t)
+
+
+def test_marginals_of_a_40_by_40_tensor_match_the_fold():
+    xs = [Fraction(i, 3) for i in range(40)]
+    ys = [f"y{j}" for j in range(40)]
+    p = Dist({x: Fraction(i + 1, 7 * i + 2) for i, x in enumerate(xs)})
+    q = Dist({y: Fraction(j - 20, j + 1) or 1 for j, y in enumerate(ys)})
+    joint = tensor(p, q)
+    first, second = marginals(joint)
+    items = list(joint.items())
+    assert len(items) == 1600
+    assert_matches(first, [(x, c) for (x, _), c in items])
+    assert_matches(second, [(y, c) for (_, y), c in items])
+
+
+@given(st.lists(st.tuples(cancelling_terms(), NONZERO), max_size=12))
 def test_flatten_matches_the_fold(inner):
     mixture = [(Dist(terms), c) for terms, c in inner]
     if mixture:
@@ -131,7 +197,7 @@ def test_dist_valued_linear_extend_matches_the_fold(terms, kernel_terms):
     assert_matches(result, expected)
 
 
-@given(st.lists(st.tuples(POINTS, st.booleans()), max_size=8))
+@given(st.lists(st.tuples(POINTS, st.booleans()), max_size=60))
 def test_boolean_constructor_and_sum_match_the_fold(terms):
     expected = {}
     for x, c in terms:
@@ -140,6 +206,7 @@ def test_boolean_constructor_and_sum_match_the_fold(terms):
     p = Dist(terms, BOOLEANS)
     assert p._w == expected
     assert dist_add(p, p)._w == expected
+    assert pushforward(lambda x: "one", p)._w == ({"one": True} if expected else {})
 
 
 # -- the no-zero-divisor precondition --------------------------------------
@@ -190,6 +257,28 @@ def test_linear_extend_rejects_a_scalar_then_a_distribution():
     p = Dist({"a": 1, "b": 1})
     with pytest.raises(TypeError, match=MIXED):
         linear_extend(lambda x: Fraction(1) if x == "a" else dirac(x), p)
+
+
+def test_dist_valued_linear_extend_rejects_a_later_scalar():
+    p = Dist({"a": 1, "b": 1, "c": 1})
+    with pytest.raises(TypeError, match=MIXED):
+        linear_extend(lambda x: Fraction(1) if x == "c" else dirac(x), p)
+
+
+def test_dist_valued_linear_extend_rejects_mixed_semirings():
+    p = Dist({"a": 1, "b": 1})
+    f = lambda x: dirac(x) if x == "a" else dirac(x, BOOLEANS)
+    with pytest.raises(TypeError, match="mixed scalar semirings"):
+        linear_extend(f, p)
+
+
+def test_flatten_rejects_a_point_that_is_not_a_distribution():
+    pp = Dist({Dist({"a": 1}): 2, "b": 1, Dist({"b": 1}): 1})
+    with pytest.raises(TypeError, match="flatten needs Dist-valued points, got 'b'"):
+        flatten(pp)
+    mixed = Dist({Dist({"a": 1}): 1, Dist({"a": True}, BOOLEANS): 1})
+    with pytest.raises(TypeError, match="mixed scalar semirings: rational vs boolean"):
+        flatten(mixed)
 
 
 def test_pair_rejects_a_table_of_mixed_values():

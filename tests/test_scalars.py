@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -37,6 +38,17 @@ def test_format_parse_round_trip(q):
 def test_format_drops_unit_denominator():
     assert format_rational(Fraction(-4, 1)) == "-4"
     assert format_rational(Fraction(7, 3)) == "7/3"
+
+
+def test_format_rejects_floats_and_keeps_exact_values():
+    with pytest.raises(TypeError):
+        format_rational(0.1)
+    with pytest.raises(TypeError):
+        format_rational(2.0)
+    assert format_rational(3) == "3"
+    assert format_rational(True) == "1"
+    assert format_rational("6/4") == "3/2"
+    assert format_rational(Fraction(-6, 4)) == "-3/2"
 
 
 def test_field_arithmetic_examples():
@@ -98,3 +110,58 @@ def test_semiring_laws_at_full_case_count():
         report = run_law(name, cfg)
         assert report.passed, report.counterexample
         assert report.cases_run == 1000
+
+
+# -- the n-ary sum against the fold it is defined as ------------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def fold_add(values):
+    acc = RATIONALS.zero
+    for v in values:
+        acc = RATIONALS.add(acc, v)
+    return acc
+
+
+def assert_sum_is_the_fold(values):
+    total = RATIONALS.sum(values)
+    assert total == fold_add(values)
+    assert type(total) is Fraction
+    assert total.denominator > 0
+    assert gcd(total.numerator, total.denominator) == 1
+
+
+@given(st.lists(st.one_of(small_fractions(), st.integers(-50, 50)), max_size=40))
+def test_rational_sum_is_the_fold_of_add(values):
+    assert_sum_is_the_fold(values)
+
+
+@given(st.lists(small_fractions(), max_size=20))
+def test_rational_sum_cancels_to_exact_zero(values):
+    values = values + [-v for v in reversed(values)]
+    assert_sum_is_the_fold(values)
+    assert RATIONALS.sum(values) == 0
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-1000, 1000), st.sampled_from(PRIMES)), max_size=40
+    )
+)
+def test_rational_sum_over_pairwise_coprime_denominators(parts):
+    assert_sum_is_the_fold([Fraction(n, d) for n, d in parts])
+
+
+def test_rational_sum_examples():
+    assert_sum_is_the_fold([])
+    assert RATIONALS.sum([]) == 0
+    assert_sum_is_the_fold([1, 2, 3])
+    assert RATIONALS.sum([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]) == 1
+    assert_sum_is_the_fold([Fraction(1, p) for p in PRIMES])
+    assert_sum_is_the_fold([Fraction(1, 4), Fraction(-1, 4), Fraction(5, 6)])
+
+
+@given(st.lists(st.booleans(), max_size=8))
+def test_boolean_sum_is_the_fold_of_or(values):
+    assert BOOLEANS.sum(values) is any(values)

@@ -1,7 +1,11 @@
+import re
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
+
+import finmeas.dist
 
 from finmeas import (
     Dist,
@@ -170,6 +174,38 @@ def test_structure_map_mixes_tables_pointwise():
     h = FunTable(dom, {"a": Fraction(0), "b": Fraction(2)})
     mixed = structure_map(Dist({g: 2, h: 3}))
     assert mixed("a") == 2 and mixed("b") == 6
+
+
+def test_structure_map_picks_its_module_without_sorting(monkeypatch):
+    dom = FiniteSpace(("a", "b"))
+    g = FunTable(dom, {"a": Fraction(1), "b": Fraction(0)})
+    h = FunTable(dom, {"a": Fraction(0), "b": Fraction(2)})
+    scalars = Dist({Fraction(3): Fraction(1, 3), Fraction(-1): 2, Fraction(1, 2): 4})
+    mixture = Dist({Dist({"b": 2}): 3, Dist({"a": 1}): 1, Dist({"c": 1}): 2})
+    tables = Dist({h: 3, g: 2})
+    calls = []
+    point_key = finmeas.dist.point_key
+    monkeypatch.setattr(
+        finmeas.dist, "point_key", lambda x: calls.append(x) or point_key(x)
+    )
+    assert structure_map(scalars) == 1
+    assert structure_map(mixture) == Dist({"a": 1, "b": 6, "c": 2})
+    mixed = structure_map(tables)
+    assert mixed("a") == 2 and mixed("b") == 6
+    assert calls == []
+
+
+def test_structure_map_names_the_first_bad_point_in_point_order():
+    dom = FiniteSpace(("a",))
+    g = FunTable(dom, {"a": Fraction(1)})
+    h = FunTable(dom, {"a": Fraction(2)})
+    p, q = Dist({"a": 1}), Dist({"b": 1})
+    for order in permutations([p, g, h]):
+        with pytest.raises(TypeError, match=re.escape(f"got {g!r}")):
+            structure_map(Dist({x: 1 for x in order}))
+    for order in permutations([Fraction(1), q, h, p]):
+        with pytest.raises(TypeError, match=re.escape(f"cannot use {p!r}")):
+            structure_map(Dist({x: 1 for x in order}))
 
 
 def commutes_with_mixing(g, mm):

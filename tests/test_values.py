@@ -2,6 +2,7 @@
 match what frozen dataclasses gave, without importing `dataclasses`."""
 
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -109,6 +110,33 @@ def test_copy_and_pickle_round_trip(value):
     assert copy.copy(value) == value
     assert copy.deepcopy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+# Built from module-level functions and without `sum`, so every field
+# pickles by reference and the semiring falls back to the fold over `add`.
+OR_AND = Semiring("or-and", False, True, operator.or_, operator.and_, bool)
+
+
+def test_user_semiring_without_sum_copies_and_pickles():
+    for twin in (
+        copy.copy(OR_AND),
+        copy.deepcopy(OR_AND),
+        pickle.loads(pickle.dumps(OR_AND)),
+    ):
+        assert twin == OR_AND
+        assert (twin.add, twin.mul, twin.coerce, twin.neg, twin.inv) == (
+            operator.or_, operator.and_, bool, None, None
+        )
+        assert twin.sum([False, True, False]) is True
+        assert twin.sum([]) is False
+        assert Dist([("a", True), ("a", True), ("a", True)], twin)._w == {"a": True}
+
+
+def test_module_semirings_copy_and_pickle_as_themselves():
+    for sr in (RATIONALS, BOOLEANS):
+        assert copy.copy(sr) is sr
+        assert copy.deepcopy(sr) is sr
+        assert pickle.loads(pickle.dumps(sr)) is sr
 
 
 def test_constructors_canonicalize_and_validate():
