@@ -263,10 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
-    except FinmeasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (FinmeasError, OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.handler is _cmd_laws:

@@ -64,25 +64,19 @@ class Right(_Tagged):
     __slots__ = ()
 
 
-class FiniteSpace:
+class FiniteSpace(FrozenValue):
     """An explicit finite list of points, duplicate-free, in a fixed order.
 
     Used wherever functions must be enumerated or tabulated exhaustively.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = _fields = ("elements",)
 
     def __init__(self, elements: Iterable):
         elems = tuple(as_point(x) for x in elements)
         if len(set(elems)) != len(elems):
             raise ValueError("FiniteSpace elements must be duplicate-free")
         object.__setattr__(self, "elements", elems)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSpace is immutable")
-
-    def __reduce__(self):
-        return (FiniteSpace, (self.elements,))
 
     def __iter__(self):
         return iter(self.elements)
@@ -93,17 +87,11 @@ class FiniteSpace:
     def __contains__(self, x):
         return as_point(x) in self.elements
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteSpace) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
-
     def __repr__(self):
         return f"FiniteSpace({list(self.elements)!r})"
 
 
-class FunTable:
+class FunTable(FrozenValue):
     """A total function on a FiniteSpace, given by an explicit table.
 
     Tables are immutable and hashable, so a distribution over function
@@ -111,7 +99,7 @@ class FunTable:
     a DomainError.
     """
 
-    __slots__ = ("domain", "_map")
+    __slots__ = _fields = ("domain", "_map")
 
     def __init__(self, domain: FiniteSpace, mapping: Mapping):
         table = {as_point(x): v for x, v in mapping.items()}
@@ -121,12 +109,6 @@ class FunTable:
             raise DomainError("table must be defined on exactly the domain")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_map", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FunTable is immutable")
-
-    def __reduce__(self):
-        return (FunTable, (self.domain, self._map))
 
     def __call__(self, x):
         x = as_point(x)
@@ -140,15 +122,8 @@ class FunTable:
     def values(self):
         return tuple(self._map[x] for x in self.domain)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FunTable)
-            and self.domain == other.domain
-            and self._map == other._map
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.values()))
+    def _key(self) -> tuple:
+        return (self.domain, self.values())
 
     def _order_key(self):
         return (
@@ -213,7 +188,7 @@ def point_key(x):
     raise TypeError(f"{x!r} is not in the point universe")
 
 
-class Dist:
+class Dist(FrozenValue):
     """Finite-support distribution: point -> nonzero scalar weight.
 
     Canonical form is maintained by construction (zero weights dropped,
@@ -222,8 +197,10 @@ class Dist:
     Dist itself serve as a support point of an outer Dist.
     """
 
-    # `_sorted` and `_hash` are caches, left unset until first read.
-    __slots__ = ("semiring", "_w", "_sorted", "_hash")
+    # Copy and pickle rebuild `Dist(_w, semiring)`. `_sorted` and `_hash`
+    # are caches, left unset until first read.
+    _fields = ("_w", "semiring")
+    __slots__ = _fields + ("_sorted", "_hash")
 
     def __init__(self, weights=(), semiring: Semiring = RATIONALS):
         items = weights.items() if hasattr(weights, "items") else weights
@@ -253,12 +230,6 @@ class Dist:
     @classmethod
     def empty(cls, semiring: Semiring = RATIONALS) -> "Dist":
         return cls._of({}, semiring)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dist is immutable")
-
-    def __reduce__(self):
-        return (Dist, (dict(self._w), self.semiring))
 
     # -- canonical views ---------------------------------------------------
 
@@ -296,6 +267,8 @@ class Dist:
 
     # -- equality / hashing ------------------------------------------------
 
+    # Spelled out rather than inherited: the weights are a dict, and every
+    # mixture hashes its inner distributions, so the hash is cached.
     def __eq__(self, other):
         if not isinstance(other, Dist):
             return NotImplemented

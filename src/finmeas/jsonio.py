@@ -86,7 +86,10 @@ def table_to_json(table: FunTable) -> dict:
         key = point_to_json(x)
         if not isinstance(key, str):
             raise ParseError("table keys on the wire must be atoms or rationals")
-        out[key] = format_rational(Fraction(v))
+        value = as_point(v)
+        if not isinstance(value, Fraction):
+            raise ParseError(f"table values on the wire must be rationals: {v!r}")
+        out[key] = format_rational(value)
     return out
 
 

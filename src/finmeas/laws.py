@@ -21,10 +21,8 @@ with a Fraction input shown by str and any other input by repr.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Optional
 
 from .dist import (
     Dist,
@@ -79,7 +77,7 @@ from .probability import (
     rv_sum,
 )
 from .quantities import UnitTagged, from_pure, rescale_unit, to_pure
-from .scalars import BOOLEANS, RATIONALS, Semiring
+from .scalars import BOOLEANS, RATIONALS, FrozenValue, Semiring
 from .strength import (
     cotensor_strength,
     extend_1linear,
@@ -101,34 +99,31 @@ _ATOMS_B = ("u", "v", "w", "s", "t")
 _ATOMS_C = ("k", "m", "n", "g", "h")
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(FrozenValue):
     """Reproducibility knobs for the sample streams."""
 
-    seed: int = 0
-    cases: int = 200
-    max_support: int = 4
-    coefficient_bound: int = 8
-    space_size: int = 3
+    __slots__ = _fields = (
+        "seed", "cases", "max_support", "coefficient_bound", "space_size"
+    )
 
-    def __post_init__(self):
-        if self.cases < 1:
+    def __init__(self, seed=0, cases=200, max_support=4, coefficient_bound=8,
+                 space_size=3):
+        if cases < 1:
             raise ValueError("cases must be at least 1")
-        if self.max_support < 1:
+        if max_support < 1:
             raise ValueError("max_support must be at least 1")
-        if self.coefficient_bound < 1:
+        if coefficient_bound < 1:
             raise ValueError("coefficient_bound must be at least 1")
-        if not 1 <= self.space_size <= 5:
+        if not 1 <= space_size <= 5:
             raise ValueError("space_size must be between 1 and 5")
+        super().__init__(seed, cases, max_support, coefficient_bound, space_size)
 
 
-@dataclass
-class LawReport:
-    law: str
-    statement: str
-    cases_run: int
-    passed: bool
-    counterexample: Optional[str] = None
+class LawReport(FrozenValue):
+    __slots__ = _fields = ("law", "statement", "cases_run", "passed", "counterexample")
+
+    def __init__(self, law, statement, cases_run, passed, counterexample=None):
+        super().__init__(law, statement, cases_run, passed, counterexample)
 
     def to_json(self) -> dict:
         out = {
@@ -189,8 +184,9 @@ def gen_rational_point(rng, cfg) -> Fraction:
 
 
 def gen_line_dist(rng, cfg, min_support=0) -> Dist:
-    k = rng.randint(min_support, cfg.max_support)
-    points = rng.sample(_line_pool(cfg.coefficient_bound), k)
+    pool = _line_pool(cfg.coefficient_bound)
+    k = rng.randint(min_support, min(cfg.max_support, len(pool)))
+    points = rng.sample(pool, k)
     return Dist._of({x: gen_scalar(rng, cfg) for x in points}, RATIONALS)
 
 
@@ -247,8 +243,9 @@ def gen_prob_dist(rng, cfg, space: FiniteSpace) -> Dist:
 
 
 def gen_prob_line_dist(rng, cfg) -> Dist:
-    k = rng.randint(1, cfg.max_support)
-    return _total_one(rng, cfg, rng.sample(_line_pool(cfg.coefficient_bound), k))
+    pool = _line_pool(cfg.coefficient_bound)
+    k = rng.randint(1, min(cfg.max_support, len(pool)))
+    return _total_one(rng, cfg, rng.sample(pool, k))
 
 
 def gen_prob_pair_dist(rng, cfg) -> Dist:
@@ -321,12 +318,11 @@ def gen_balanced_line_dist(rng, cfg, step: Step) -> Dist:
 # -- the registry and the runner ---------------------------------------------------
 
 
-@dataclass
-class Law:
-    name: str
-    statement: str
-    case: Callable = field(compare=False)
-    deterministic: bool = False
+class Law(FrozenValue):
+    __slots__ = _fields = ("name", "statement", "case", "deterministic")
+
+    def __init__(self, name, statement, case, deterministic=False):
+        super().__init__(name, statement, case, deterministic)
 
 
 LAWS: "dict[str, Law]" = {}

@@ -64,18 +64,31 @@ def _coerce_boolean(value) -> bool:
 
 
 class FrozenValue:
-    """Base of the immutable value classes, with frozen-dataclass semantics.
+    """Base of every immutable value class, with frozen-dataclass semantics.
 
-    A subclass lists its fields in `_fields` (and `__slots__`) and sets
-    them in `__init__` through `object.__setattr__`. Equality holds only
-    between instances of the same class and compares `_key()`, which
-    hash also uses; repr shows every field. These are not dataclasses
-    because importing `dataclasses` pulls in `inspect`, which would add
-    to the start-up of every CLI call.
+    The values are the semirings, the points (`Left`, `Right`,
+    `FunTable`), `FiniteSpace`, `Dist`, `Step`, `AffineMap`,
+    `UnitTagged` and the law-suite records (`GenConfig`, `Law`,
+    `LawReport`).
+
+    A subclass lists its fields in `_fields` (and `__slots__`).
+    `FrozenValue.__init__` takes one value per field, in that order; a
+    subclass that canonicalizes its arguments may instead set them
+    through `object.__setattr__`. A field can then be neither assigned
+    nor deleted. Equality holds only between instances of the same class
+    and compares `_key()`, which hash also uses; repr shows every field;
+    copy and pickle rebuild the instance by calling its class with its
+    fields. These are not dataclasses because importing `dataclasses`
+    pulls in `inspect`, which would add to the start-up of every CLI
+    call.
     """
 
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *values):
+        for f, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, f, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -132,9 +145,7 @@ class Semiring(FrozenValue):
             # a partial, not a bound method, so copy and pickle need only
             # what the other fields need
             sum = partial(_fold, add, zero)
-        values = (name, zero, one, add, mul, coerce, neg, inv, sum)
-        for f, value in zip(self._fields, values):
-            object.__setattr__(self, f, value)
+        super().__init__(name, zero, one, add, mul, coerce, neg, inv, sum)
 
     def _key(self) -> tuple:
         return (self.name, self.zero, self.one)

@@ -271,11 +271,13 @@ def test_cli_import_skips_law_suite_and_dataclasses(tmp_path, d6_file):
     script = (
         "import sys\n"
         "import finmeas.cli\n"
-        "def loaded():\n"
-        "    return [m for m in ('finmeas.laws', 'dataclasses') if m in sys.modules]\n"
+        "def loaded(names=('finmeas.laws', 'dataclasses', 'inspect')):\n"
+        "    return [m for m in names if m in sys.modules]\n"
         "after_import = loaded()\n"
         f"code = finmeas.cli.main(['conv', '--in', {d6_file!r}, '--in', {d6_file!r}])\n"
-        "print(code, after_import, loaded())\n"
+        "after_conv = loaded()\n"
+        "laws = finmeas.cli.main(['laws', '--law', 'fubini', '--cases', '1'])\n"
+        "print(code, after_import, after_conv, laws, loaded(('dataclasses', 'inspect')))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(finmeas.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -284,7 +286,7 @@ def test_cli_import_skips_law_suite_and_dataclasses(tmp_path, d6_file):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 [] []"
+    assert proc.stdout.splitlines()[-1] == "0 [] [] 0 []"
 
 
 def test_law_suite_names_resolve_on_first_access():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finmeas import Dist, Left, ParseError, Right
+from finmeas import Dist, FiniteSpace, FunTable, Left, ParseError, Right
 from finmeas.jsonio import (
     dist_from_json,
     dist_to_json,
@@ -105,6 +105,27 @@ def test_table_round_trip():
 def test_table_values_must_be_rational_strings():
     with pytest.raises(ParseError):
         table_from_json({"a": 0.5})
+
+
+def test_rational_table_encodes_to_exact_bytes():
+    table = FunTable(
+        FiniteSpace(["a", Fraction(1, 2)]), {"a": Fraction(-6, 4), Fraction(1, 2): 3}
+    )
+    assert json.dumps(table_to_json(table), separators=(",", ":")) == (
+        '{"a":"-3/2","1/2":"3"}'
+    )
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["0.5", " 3 ", "1/2", "north", ("a", Fraction(1)), Left(Fraction(1)), Dist({"a": 1})],
+    ids=["decimal-atom", "padded-atom", "slash-atom", "atom", "pair", "tagged", "dist"],
+)
+def test_table_encoder_rejects_values_that_are_not_rationals(value):
+    table = FunTable(FiniteSpace(["a", "b"]), {"a": Fraction(1), "b": value})
+    with pytest.raises(ParseError, match="must be rationals") as raised:
+        table_to_json(table)
+    assert repr(value) in str(raised.value)
 
 
 # -- fuzzing the decoders --------------------------------------------------

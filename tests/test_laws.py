@@ -148,6 +148,14 @@ def test_degenerate_draws_pass_every_law():
     assert len(reports) == len(LAWS)
 
 
+def test_max_support_beyond_the_line_pool_passes_every_law():
+    # coefficient bound 1 leaves 7 rational line points, fewer than 8
+    cfg = GenConfig(seed=1, cases=5, max_support=8, coefficient_bound=1)
+    reports = run_suite(cfg)
+    assert [(r.law, r.counterexample) for r in reports if not r.passed] == []
+    assert len(reports) == len(LAWS)
+
+
 # sha256 over repr([(law, passed, cases_run, repr(rng.getstate())), ...])
 # for every registered law in order, at seed 0 and 20 cases. It pins which
 # samples each law draws: a change to any generator's draw order or count

@@ -1,5 +1,7 @@
-"""The immutable value classes: equality, hash, repr and immutability
-match what frozen dataclasses gave, without importing `dataclasses`."""
+"""The immutable value classes, all built on `FrozenValue`: the points,
+`FiniteSpace`, `Dist`, the semirings and the law-suite records. Equality,
+hash, repr, copy and pickle match what frozen dataclasses gave, without
+importing `dataclasses`, and no field can be assigned or deleted."""
 
 import copy
 import operator
@@ -13,7 +15,11 @@ from finmeas import (
     RATIONALS,
     AffineMap,
     Dist,
+    FiniteSpace,
+    FunTable,
+    GenConfig,
     Left,
+    LawReport,
     Right,
     Semiring,
     Step,
@@ -33,6 +39,11 @@ def _values():
         Step(HALF),
         AffineMap(HALF, 3),
         UnitTagged(2, Dist({"a": 1})),
+        FiniteSpace(["a", HALF]),
+        FunTable(FiniteSpace(["a", "b"]), {"a": HALF, "b": Dist({"c": 1})}),
+        Dist({"a": HALF, Left("b"): Fraction(-2)}),
+        GenConfig(seed=3, cases=7),
+        LawReport("fubini", "a statement", 4, False, "P=...; lhs != rhs"),
     ]
 
 
@@ -49,6 +60,10 @@ def test_equal_twins_hash_alike(value, twin):
 def test_hash_is_the_hash_of_the_compared_fields():
     assert hash(Left(HALF)) == hash((HALF,))
     assert hash(AffineMap(HALF, 3)) == hash((HALF, Fraction(3)))
+    assert hash(FiniteSpace(["a"])) == hash((("a",),))
+    table = FunTable(FiniteSpace(["a", "b"]), {"b": 2, "a": HALF})
+    assert hash(table) == hash((FiniteSpace(["a", "b"]), (HALF, Fraction(2))))
+    assert hash(GenConfig()) == hash((0, 200, 4, 8, 3))
     assert hash(RATIONALS) == hash(("rational", Fraction(0), Fraction(1)))
 
 
@@ -57,6 +72,8 @@ def test_equality_needs_the_same_class():
     assert Right(Fraction(1)) != Left(Fraction(1))
     assert Left(Fraction(1)) != (Fraction(1),)
     assert Step(1) != AffineMap(1, 0)
+    assert FiniteSpace(["a"]) != ("a",)
+    assert Dist({"a": 1}) != {"a": 1}
     assert len({Left("x"), Right("x")}) == 2
 
 
@@ -67,6 +84,12 @@ def test_fields_are_compared():
     assert Left(Fraction(1)) != Left(Fraction(2))
     assert UnitTagged(2, Dist({"a": 1})) != UnitTagged(2, Dist({"a": 2}))
     assert UnitTagged(2, Dist({"a": 1})) != UnitTagged(3, Dist({"a": 1}))
+    assert FiniteSpace(["a", "b"]) != FiniteSpace(["b", "a"])
+    space = FiniteSpace(["a", "b"])
+    assert FunTable(space, {"a": 1, "b": 2}) != FunTable(space, {"a": 2, "b": 1})
+    assert FunTable(space, {"a": 1, "b": 2}) == FunTable(space, {"b": 2, "a": 1})
+    assert GenConfig(seed=1) != GenConfig(seed=2)
+    assert LawReport("x", "s", 1, True) != LawReport("x", "s", 1, False)
 
 
 def test_semiring_compares_name_zero_and_one_only():
@@ -87,6 +110,18 @@ def test_repr():
         "UnitTagged(unit=Fraction(2, 1), body=Dist({'a': 1}))"
     )
     assert repr(RATIONALS) == "Semiring(rational)"
+    assert repr(FiniteSpace(["a", HALF])) == "FiniteSpace(['a', Fraction(1, 2)])"
+    table = FunTable(FiniteSpace(["a", "b"]), {"a": HALF, "b": Dist({"c": 1})})
+    assert repr(table) == "FunTable({'a': Fraction(1, 2), 'b': Dist({'c': 1})})"
+    assert repr(Dist({"a": HALF, Left(1): -2})) == "Dist({'a': 1/2, Left(1): -2})"
+    assert repr(Dist({"a": True}, BOOLEANS)) == "Dist({'a': True}, boolean)"
+    assert repr(GenConfig()) == (
+        "GenConfig(seed=0, cases=200, max_support=4, coefficient_bound=8, space_size=3)"
+    )
+    assert repr(LawReport("fubini", "s", 2, True)) == (
+        "LawReport(law='fubini', statement='s', cases_run=2, passed=True, "
+        "counterexample=None)"
+    )
 
 
 @pytest.mark.parametrize("value", _values() + [RATIONALS], ids=NAMES + ["Semiring"])
@@ -103,7 +138,8 @@ def test_immutable(value):
 
 
 @pytest.mark.parametrize(
-    "value", [Left(Fraction(1)), Right((HALF, "a")), Step(HALF), AffineMap(HALF, 3)],
+    "value",
+    [Left(Fraction(1)), Right((HALF, "a")), Step(HALF), AffineMap(HALF, 3)] + _values()[-5:],
     ids=lambda v: type(v).__name__,
 )
 def test_copy_and_pickle_round_trip(value):
