@@ -4,8 +4,8 @@ A Dist is a finite map from support points to nonzero scalars of some
 exact semiring. Points live in a closed value universe: rationals,
 string atoms, pairs, Left/Right tagged points, nested Dist values
 (needed for mixtures of mixtures), and function tables. The universe is
-totally ordered so every distribution iterates and prints
-deterministically.
+totally ordered, rationals < atoms < pairs < Left < Right < distributions
+< tables, so every distribution iterates and prints deterministically.
 
 Construction contract: a zero weight can only come from a sum, so zeros
 are dropped in exactly one place, `_accumulate`, which every summing
@@ -29,6 +29,7 @@ and the linear extension of f over the empty distribution returns it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
 
@@ -102,9 +103,8 @@ class FunTable(FrozenValue):
     __slots__ = _fields = ("domain", "_map")
 
     def __init__(self, domain: FiniteSpace, mapping: Mapping):
-        table = {as_point(x): v for x, v in mapping.items()}
-        for v in table.values():
-            as_point(v)  # values are points too; this rejects floats
+        # values are points too, stored canonical
+        table = {as_point(x): as_point(v) for x, v in mapping.items()}
         if set(table) != set(domain.elements):
             raise DomainError("table must be defined on exactly the domain")
         object.__setattr__(self, "domain", domain)
@@ -125,12 +125,6 @@ class FunTable(FrozenValue):
     def _key(self) -> tuple:
         return (self.domain, self.values())
 
-    def _order_key(self):
-        return (
-            tuple(point_key(x) for x in self.domain),
-            tuple(point_key(v) for v in self.values()),
-        )
-
     def __repr__(self):
         body = ", ".join(f"{x!r}: {v!r}" for x, v in self.items())
         return f"FunTable({{{body}}})"
@@ -140,52 +134,21 @@ def as_point(x):
     """Canonicalize a value into the point universe.
 
     Numbers become Fractions; floats are rejected outright to preserve
-    exactness. Pairs are 2-tuples of points. An exact Fraction or str is
-    already canonical and comes back as is.
+    exactness. Pairs are 2-tuples of points. A point that is already
+    canonical comes back as the same object.
     """
-    cls = x.__class__
-    if cls is Fraction or cls is str:
-        return x
-    if isinstance(x, bool):
-        return Fraction(int(x))
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        raise TypeError("floats are not exact; use Fraction or a 'p/q' string")
-    if isinstance(x, str):
-        return x
-    if isinstance(x, tuple):
-        if len(x) != 2:
-            raise TypeError("only pairs (2-tuples) are points")
-        return (as_point(x[0]), as_point(x[1]))
-    if isinstance(x, Left):
-        return Left(as_point(x.value))
-    if isinstance(x, Right):
-        return Right(as_point(x.value))
-    if isinstance(x, Dist):
-        return x
-    if isinstance(x, FunTable):
-        return x
-    raise TypeError(f"{x!r} is not in the point universe")
+    kind = _KINDS.get(x.__class__)
+    if kind is None:
+        if isinstance(x, float):
+            raise TypeError("floats are not exact; use Fraction or a 'p/q' string")
+        kind = _base_kind(x)
+    return kind.canon(x)
 
 
 def point_key(x):
     """Total-order sort key over the whole point universe."""
-    if isinstance(x, bool) or isinstance(x, (int, Fraction)):
-        return (0, Fraction(x))
-    if isinstance(x, str):
-        return (1, x)
-    if isinstance(x, tuple):
-        return (2, point_key(x[0]), point_key(x[1]))
-    if isinstance(x, Left):
-        return (3, 0, point_key(x.value))
-    if isinstance(x, Right):
-        return (3, 1, point_key(x.value))
-    if isinstance(x, Dist):
-        return (4, x._order_key())
-    if isinstance(x, FunTable):
-        return (5, x._order_key())
-    raise TypeError(f"{x!r} is not in the point universe")
+    kind = _KINDS.get(x.__class__) or _base_kind(x)
+    return kind.rank, kind.key(x)
 
 
 class Dist(FrozenValue):
@@ -260,11 +223,6 @@ class Dist(FrozenValue):
     def is_empty(self) -> bool:
         return not self._w
 
-    def _order_key(self):
-        return (self.semiring.name,) + tuple(
-            (point_key(x), c) for x, c in self.items()
-        )
-
     # -- equality / hashing ------------------------------------------------
 
     # Spelled out rather than inherited: the weights are a dict, and every
@@ -307,16 +265,78 @@ class Dist(FrozenValue):
     __rmul__ = __mul__
 
 
+# -- the point universe -----------------------------------------------------
+#
+# `_KINDS` maps each kind's exact class to its rank in the point order,
+# its canonicalizer (which returns a canonical point itself), its order
+# key within the rank and its display form in a Dist's repr. Any other
+# class takes the entry of the first class in its MRO that is in the
+# table: bool goes through int, and a tuple subclass becomes a pair.
+
+_Kind = namedtuple("_Kind", "rank canon key show")
+
+
+def _base_kind(x) -> _Kind:
+    for cls in x.__class__.__mro__:
+        if cls in _KINDS:
+            return _KINDS[cls]
+    raise TypeError(f"{x!r} is not in the point universe")
+
+
 def _show_point(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, tuple):
-        return f"({_show_point(x[0])}, {_show_point(x[1])})"
-    if isinstance(x, Left):
-        return f"Left({_show_point(x.value)})"
-    if isinstance(x, Right):
-        return f"Right({_show_point(x.value)})"
-    return repr(x)
+    return (_KINDS.get(x.__class__) or _base_kind(x)).show(x)
+
+
+def _same(x):
+    return x
+
+
+def _exact(cls, convert):
+    return lambda x: x if x.__class__ is cls else convert(x)
+
+
+def _pair(x):
+    if len(x) != 2:
+        raise TypeError("only pairs (2-tuples) are points")
+    a, b = as_point(x[0]), as_point(x[1])
+    return x if a is x[0] and b is x[1] and x.__class__ is tuple else (a, b)
+
+
+def _tag(tag):
+    def canon(x):
+        v = as_point(x.value)
+        return x if v is x.value and x.__class__ is tag else tag(v)
+
+    return canon
+
+
+def _show_pair(x):
+    return f"({_show_point(x[0])}, {_show_point(x[1])})"
+
+
+def _show_tag(x):
+    return f"{x.__class__.__name__}({_show_point(x.value)})"
+
+
+def _dist_key(p: Dist):
+    return p.semiring.name, tuple((point_key(x), c) for x, c in p.items())
+
+
+def _table_key(t: FunTable):
+    return tuple(map(point_key, t.domain)), tuple(map(point_key, t.values()))
+
+
+_KINDS = {
+    Fraction: _Kind(0, _exact(Fraction, Fraction), _same, str),
+    int: _Kind(0, Fraction, _same, str),
+    # str.__str__, not str(): a subclass may override __str__
+    str: _Kind(1, _exact(str, str.__str__), _same, repr),
+    tuple: _Kind(2, _pair, lambda x: (point_key(x[0]), point_key(x[1])), _show_pair),
+    Left: _Kind(3, _tag(Left), lambda x: point_key(x.value), _show_tag),
+    Right: _Kind(4, _tag(Right), lambda x: point_key(x.value), _show_tag),
+    Dist: _Kind(5, _same, _dist_key, repr),
+    FunTable: _Kind(6, _same, _table_key, repr),
+}
 
 
 def _require_points(p: Dist, ok, message: str, error=DomainError) -> Dist:

@@ -14,42 +14,49 @@ from .errors import ParseError
 from .scalars import RATIONAL_RE, format_rational, parse_rational
 
 
+def _atom_to_json(x: str) -> str:
+    if RATIONAL_RE.match(x):
+        raise ParseError(f"atom {x!r} collides with the rational syntax; rename it")
+    return x
+
+
+def _pair_from_json(payload):
+    if not isinstance(payload, list) or len(payload) != 2:
+        raise ParseError("a pair point needs a 2-element list")
+    return (point_from_json(payload[0]), point_from_json(payload[1]))
+
+
+# Encoders by the exact class of a canonical point, decoders by wire tag.
+_ENCODERS = {
+    Fraction: format_rational,
+    str: _atom_to_json,
+    tuple: lambda x: {"pair": [point_to_json(x[0]), point_to_json(x[1])]},
+    Left: lambda x: {"L": point_to_json(x.value)},
+    Right: lambda x: {"R": point_to_json(x.value)},
+}
+_DECODERS = {
+    "pair": _pair_from_json,
+    "L": lambda payload: Left(point_from_json(payload)),
+    "R": lambda payload: Right(point_from_json(payload)),
+}
+
+
 def point_to_json(x):
     x = as_point(x)
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    if isinstance(x, str):
-        if RATIONAL_RE.match(x):
-            raise ParseError(
-                f"atom {x!r} collides with the rational syntax; rename it"
-            )
-        return x
-    if isinstance(x, tuple):
-        return {"pair": [point_to_json(x[0]), point_to_json(x[1])]}
-    if isinstance(x, Left):
-        return {"L": point_to_json(x.value)}
-    if isinstance(x, Right):
-        return {"R": point_to_json(x.value)}
-    raise ParseError(f"point {x!r} has no wire representation")
+    if x.__class__ not in _ENCODERS:
+        raise ParseError(f"point {x!r} has no wire representation")
+    return _ENCODERS[x.__class__](x)
 
 
 def point_from_json(obj):
     if isinstance(obj, str):
-        if RATIONAL_RE.match(obj):
-            return Fraction(obj)
-        return obj
+        return Fraction(obj) if RATIONAL_RE.match(obj) else obj
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, dict) and len(obj) == 1:
         (tag, payload), = obj.items()
-        if tag == "pair":
-            if not isinstance(payload, list) or len(payload) != 2:
-                raise ParseError("a pair point needs a 2-element list")
-            return (point_from_json(payload[0]), point_from_json(payload[1]))
-        if tag == "L":
-            return Left(point_from_json(payload))
-        if tag == "R":
-            return Right(point_from_json(payload))
+        if tag in _DECODERS:
+            return _DECODERS[tag](payload)
     raise ParseError(f"unrecognized point encoding: {obj!r}")
 
 
@@ -86,10 +93,9 @@ def table_to_json(table: FunTable) -> dict:
         key = point_to_json(x)
         if not isinstance(key, str):
             raise ParseError("table keys on the wire must be atoms or rationals")
-        value = as_point(v)
-        if not isinstance(value, Fraction):
+        if v.__class__ is not Fraction:  # table values are canonical points
             raise ParseError(f"table values on the wire must be rationals: {v!r}")
-        out[key] = format_rational(value)
+        out[key] = format_rational(v)
     return out
 
 
@@ -101,6 +107,9 @@ def table_from_json(obj) -> FunTable:
     for key, value in obj.items():
         if not isinstance(value, str):
             raise ParseError(f"table values must be rational strings: {value!r}")
-        mapping[point_from_json(key)] = parse_rational(value)
+        x = point_from_json(key)
+        if x in mapping:
+            raise ParseError(f"table key {key!r} repeats the point {point_to_json(x)}")
+        mapping[x] = parse_rational(value)
     domain = FiniteSpace(sorted(mapping, key=point_key))
     return FunTable(domain, mapping)

@@ -15,7 +15,8 @@ from math import gcd
 
 from .errors import ParseError
 
-RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
+# \Z, not $: `$` also matches before a final newline
+RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 
 
 def parse_rational(text: str) -> Fraction:

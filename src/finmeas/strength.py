@@ -105,8 +105,8 @@ def structure_map(d: Dist, zero=None):
             raise ValueError("structure_map of empty distribution needs zero=")
         return zero
     points = d._w
-    # point_key ranks every other point before distributions, and
-    # distributions before tables
+    # the point table (`dist._KINDS`) ranks every other point before
+    # distributions, and distributions before tables
     if all(isinstance(x, (Dist, FunTable)) for x in points):
         if all(isinstance(x, FunTable) for x in points):
             return _table_mixture(d)

@@ -169,6 +169,14 @@ def test_malformed_json_exits_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_rationals_with_a_trailing_newline_exit_one(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"points": [{"x": "1\n", "w": "1/2\n"}]}))
+    code, out, err = run_cli(capsys, ["moments", "--in", str(bad)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_laws_subcommand_all_pass(capsys):
     code, out, _ = run_cli(capsys, ["laws", "--seed", "42", "--cases", "5"])
     assert code == 0

@@ -42,6 +42,12 @@ def test_rational_strings_decode_as_rationals():
     assert isinstance(point_from_json("7"), Fraction)
 
 
+def test_a_trailing_newline_makes_an_atom():
+    assert point_from_json("3\n") == "3\n"
+    assert point_to_json("3\n") == "3\n"
+    assert point_from_json({"pair": ["1/2\n", "1/2"]}) == ("1/2\n", Fraction(1, 2))
+
+
 def test_dist_round_trip_with_mixed_points():
     p = Dist({Fraction(1, 2): 3, "a": Fraction(-1, 7), ("a", "b"): 1, Left(2): 2})
     assert dist_from_json(dist_to_json(p)) == p
@@ -105,6 +111,13 @@ def test_table_round_trip():
 def test_table_values_must_be_rational_strings():
     with pytest.raises(ParseError):
         table_from_json({"a": 0.5})
+
+
+def test_table_keys_that_name_one_point_are_rejected():
+    with pytest.raises(ParseError, match="'2/2' repeats the point 1$"):
+        table_from_json({"1": "5", "2/2": "7", "01": "9"})
+    with pytest.raises(ParseError, match="'-0' repeats the point 0$"):
+        table_from_json({"0": "5", "-0": "5"})
 
 
 def test_rational_table_encodes_to_exact_bytes():

@@ -23,7 +23,8 @@ def test_parse_already_reduced():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1/0", "1/-2", "1.5", "a", "1e3", " 1", "1/", "--2", "+3"]
+    "bad",
+    ["", "1/0", "1/-2", "1.5", "a", "1e3", " 1", "1/", "--2", "+3", "1/2\n", "3\n"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):

@@ -92,6 +92,15 @@ def test_fields_are_compared():
     assert LawReport("x", "s", 1, True) != LawReport("x", "s", 1, False)
 
 
+def test_equal_tables_print_alike_inside_a_dist():
+    space = FiniteSpace(["a"])
+    tables = [FunTable(space, {"a": v}) for v in (1, Fraction(1), True)]
+    assert tables[0] == tables[1] == tables[2]
+    reprs = {repr(Dist({t: 1})) for t in tables}
+    assert reprs == {"Dist({FunTable({'a': Fraction(1, 1)}): 1})"}
+    assert all(type(t("a")) is Fraction for t in tables)
+
+
 def test_semiring_compares_name_zero_and_one_only():
     twin = Semiring("rational", Fraction(0), Fraction(1), None, None, None)
     assert twin == RATIONALS
