@@ -50,7 +50,7 @@ def point_to_json(x):
 
 def point_from_json(obj):
     if isinstance(obj, str):
-        return Fraction(obj) if RATIONAL_RE.match(obj) else obj
+        return parse_rational(obj) if RATIONAL_RE.match(obj) else obj
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, dict) and len(obj) == 1:

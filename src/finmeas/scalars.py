@@ -23,11 +23,15 @@ def parse_rational(text: str) -> Fraction:
     """Parse `p/q` or `p` into a reduced Fraction.
 
     Only the strict integer-slash-positive-integer format is accepted;
-    decimals and exponents are rejected so every value stays exact.
+    decimals and exponents are rejected so every value stays exact. A
+    literal past CPython's int-digit limit is a ParseError too.
     """
     if not isinstance(text, str) or not RATIONAL_RE.match(text):
         raise ParseError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # the only one a matched literal raises: too many digits
+        raise ParseError(f"rational literal with too many digits: {len(text)} chars") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -306,3 +306,92 @@ def test_law_suite_names_resolve_on_first_access():
     assert {"GenConfig", "LawReport", "run_law", "run_suite"} <= set(dir(finmeas))
     with pytest.raises(AttributeError):
         finmeas.no_such_name
+
+
+# (subcommand, positionals, option strings, required options), in the
+# order `finmeas --help` lists the subcommands; -h/--help left out
+CLI_SURFACE = [
+    ("conv", [], ["--in", "--json", "--table"], []),
+    ("tensor", [], ["--in", "--json", "--table"], []),
+    ("marginal", [], ["--in", "--json", "--table"], []),
+    ("joint", [], ["--in", "--json", "--table"], []),
+    ("pair", [], ["--fn", "--in", "--json", "--table"], ["--fn"]),
+    ("moments", [], ["--in", "--json", "--order", "--table"], []),
+    ("cond", [], ["--event", "--in", "--json", "--table"], ["--event"]),
+    ("derive", [], ["--in", "--json", "--step", "--table"], ["--step"]),
+    ("primitive", [], ["--in", "--json", "--step", "--table"], ["--step"]),
+    ("interval", ["a", "b"], ["--json", "--step", "--table"], ["--step"]),
+    ("laws", [], ["--cases", "--json", "--law", "--seed", "--table"], []),
+]
+
+
+def test_cli_surface_is_pinned():
+    import argparse
+
+    from finmeas.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = []
+    for name, subparser in sub.choices.items():
+        actions = [a for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+        surface.append((
+            name,
+            [a.dest for a in actions if not a.option_strings],
+            sorted(s for a in actions for s in a.option_strings),
+            sorted(s for a in actions if a.required for s in a.option_strings),
+        ))
+    assert surface == CLI_SURFACE
+    for name, *_ in CLI_SURFACE:
+        # --json and --table exclude each other on every subcommand
+        argv = [name, "--json", "--table"] + (["0", "1"] if name == "interval" else [])
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+
+
+def test_table_output_keeps_one_row_per_point(capsys, tmp_path):
+    joint = {"points": [
+        {"x": {"pair": ["a\tb", "x"]}, "w": "1/2"},
+        {"x": {"pair": ["c\n1", "x"]}, "w": "1/4"},
+        {"x": {"pair": ['q"', "x"]}, "w": "1/8"},
+        {"x": {"pair": ["é", "x"]}, "w": "1/8"},
+    ]}
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps(joint))
+    code, out, err = run_cli(capsys, ["marginal", "--in", str(path), "--table"])
+    assert code == 0, err
+    assert out == (
+        "left:\n"
+        '  "a\\tb"\t1/2\n'
+        '  "c\\n1"\t1/4\n'
+        '  "q\\""\t1/8\n'
+        "  é\t1/8\n"
+        "right:\n"
+        "  x\t1\n"
+    )
+    for line in out.splitlines():
+        assert line.endswith(":") or line.count("\t") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["conv"], "expected 2 --in argument(s), got 0"),
+    (["moments", "--in", "a.json", "--in", "b.json"], "expected 1 --in argument(s), got 2"),
+    (["conv", "--in", "-", "--in", "-"], "stdin ('-') may be used for at most one input"),
+])
+def test_wrong_in_count_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: finmeas " + argv[0])
+    assert err.endswith(f"error: {message}\n")
+
+
+def test_oversized_rational_exits_one(capsys, tmp_path):
+    for points in ([{"x": "1" * 5000, "w": "1"}], [{"x": "0", "w": "1/" + "1" * 5000}]):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"points": points}))
+        code, out, err = run_cli(capsys, ["moments", "--in", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "digits" in err

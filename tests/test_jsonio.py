@@ -227,3 +227,17 @@ def test_dist_decoder_round_trips_or_rejects(obj):
 @given(_TABLE_PAYLOADS)
 def test_table_decoder_round_trips_or_rejects(obj):
     _decodes_stably(table_from_json, table_to_json, obj)
+
+
+def test_oversized_rational_strings_raise_parse_error():
+    big = "1" * 5000
+    with pytest.raises(ParseError, match="digits"):
+        point_from_json(big)
+    with pytest.raises(ParseError, match="digits"):
+        point_from_json({"pair": ["a", big]})
+    with pytest.raises(ParseError, match="digits"):
+        table_from_json({big: "1"})
+    with pytest.raises(ParseError, match="digits"):
+        table_from_json({"1": big})
+    with pytest.raises(ParseError, match="digits"):
+        dist_from_json({"points": [{"x": "0", "w": big}]})

@@ -31,6 +31,16 @@ def test_parse_rejects_malformed(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "big", ["1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000],
+    ids=["numerator", "negative", "denominator"],
+)
+def test_parse_rejects_oversized_literals(big):
+    # past CPython's int-digit limit the literal is a ParseError, not a bare ValueError
+    with pytest.raises(ParseError, match="digits"):
+        parse_rational(big)
+
+
 @given(small_fractions())
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q
