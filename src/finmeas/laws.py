@@ -1,4 +1,4 @@
-"""Randomized generators and the exact-equality law suite.
+"""Randomized draws and the exact-equality law suite.
 
 Every law is an equation between two independently computed values of
 exact arithmetic, so checks use plain ==, never tolerances. (An inexact
@@ -7,22 +7,25 @@ rather than prove: each law draws `cases` samples from a stream derived
 from (seed, law name), so runs are reproducible and parallelizable
 without changing results.
 
-A law's case is a generator `case(rng, cfg)`. It draws its inputs from
-`rng` and yields equations `(inputs, description, lhs, rhs)`, where
-`inputs` maps a name to a drawn value, e.g. {"P": p, "Q": q}. `run_law`
-is the one place that compares: it checks each equation with == as it
-is yielded and stops at the first mismatch, which it reports as
+A law is a generator function whose parameters are its inputs, e.g.
+`def _fubini(P=dist(space_a), Q=dist(space_b))`. Each default is a draw
+spec, called as `draw(rng, cfg, semiring, drawn)`, where `drawn` maps
+the inputs drawn so far to their values. `run_law` is the one runner: it
+draws a case's inputs in parameter order, calls the law with them, and
+checks each equation `(description, lhs, rhs)` it yields with ==. It
+stops at the first mismatch, which it reports as
 
     NAME=value, ...; description: lhs!r != rhs!r
 
-with a Fraction input shown by str and any other input by repr.
+listing every drawn input in draw order, a Fraction by str and any other
+value by repr.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .dist import (
     Dist,
@@ -92,7 +95,7 @@ from .strength import (
     tensor_iterated,
 )
 
-STEPS = (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3))
+STEPS = tuple(Step(d) for d in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3)))
 
 _ATOMS_A = ("a", "b", "c", "d", "e")
 _ATOMS_B = ("u", "v", "w", "s", "t")
@@ -137,19 +140,35 @@ class LawReport(FrozenValue):
         return out
 
 
-# -- generators ---------------------------------------------------------------
+# -- spaces and generators ----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _space(atoms: tuple, size: int) -> FiniteSpace:
+    return FiniteSpace(atoms[:size])
 
 
 def space_a(cfg: GenConfig) -> FiniteSpace:
-    return FiniteSpace(_ATOMS_A[: cfg.space_size])
+    return _space(_ATOMS_A, cfg.space_size)
 
 
 def space_b(cfg: GenConfig) -> FiniteSpace:
-    return FiniteSpace(_ATOMS_B[: cfg.space_size])
+    return _space(_ATOMS_B, cfg.space_size)
 
 
 def space_c(cfg: GenConfig) -> FiniteSpace:
-    return FiniteSpace(_ATOMS_C[: cfg.space_size])
+    return _space(_ATOMS_C, cfg.space_size)
+
+
+@lru_cache(maxsize=None)
+def _line_space(b: int) -> FiniteSpace:
+    return FiniteSpace(sorted({Fraction(n, d) for n in range(-b, b + 1) for d in (1, 2, 3)}))
+
+
+def line(cfg: GenConfig) -> FiniteSpace:
+    """The rational points n/d of the line with |n| <= coefficient_bound
+    and d in (1, 2, 3), in increasing order."""
+    return _line_space(cfg.coefficient_bound)
 
 
 def gen_scalar(rng, cfg: GenConfig, semiring: Semiring = RATIONALS, nonzero=True):
@@ -173,59 +192,16 @@ def gen_dist(rng, cfg, space: FiniteSpace, semiring: Semiring = RATIONALS,
     return Dist._of({x: gen_scalar(rng, cfg, semiring) for x in points}, semiring)
 
 
-@lru_cache(maxsize=None)
-def _line_pool(b: int) -> tuple:
-    pool = {Fraction(n, d) for n in range(-b, b + 1) for d in (1, 2, 3)}
-    return tuple(sorted(pool))
-
-
-def gen_rational_point(rng, cfg) -> Fraction:
-    return rng.choice(_line_pool(cfg.coefficient_bound))
-
-
-def gen_line_dist(rng, cfg, min_support=0) -> Dist:
-    pool = _line_pool(cfg.coefficient_bound)
-    k = rng.randint(min_support, min(cfg.max_support, len(pool)))
-    points = rng.sample(pool, k)
-    return Dist._of({x: gen_scalar(rng, cfg) for x in points}, RATIONALS)
-
-
-def gen_nested(rng, cfg, space, semiring: Semiring = RATIONALS, depth=2,
-               min_support=0) -> Dist:
+def gen_nested(rng, cfg, space, semiring: Semiring = RATIONALS, depth=2) -> Dist:
     """A mixture of mixtures ... of distributions, `depth` layers deep."""
     if depth <= 1:
-        return gen_dist(rng, cfg, space, semiring, min_support=min_support)
-    k = rng.randint(min_support, cfg.max_support)
+        return gen_dist(rng, cfg, space, semiring)
     return Dist(
         (
             (gen_nested(rng, cfg, space, semiring, depth - 1), gen_scalar(rng, cfg, semiring))
-            for _ in range(k)
+            for _ in range(rng.randint(0, cfg.max_support))
         ),
         semiring,
-    )
-
-
-def gen_map(rng, domain: FiniteSpace, codomain: FiniteSpace) -> FunTable:
-    return FunTable(domain, {x: rng.choice(codomain.elements) for x in domain})
-
-
-def gen_scalar_table(rng, cfg, domain: FiniteSpace,
-                     semiring: Semiring = RATIONALS) -> FunTable:
-    return FunTable(
-        domain, {x: gen_scalar(rng, cfg, semiring, nonzero=False) for x in domain}
-    )
-
-
-def gen_event(rng, domain: FiniteSpace) -> FunTable:
-    """A random 0/1 table (a multiplicative idempotent, i.e. an event)."""
-    return FunTable(domain, {x: Fraction(rng.choice((0, 1))) for x in domain})
-
-
-def gen_dist_table(rng, cfg, domain: FiniteSpace, codomain: FiniteSpace,
-                   semiring: Semiring = RATIONALS) -> FunTable:
-    """A table whose values are distributions (a tabulated kernel)."""
-    return FunTable(
-        domain, {x: gen_dist(rng, cfg, codomain, semiring) for x in domain}
     )
 
 
@@ -242,108 +218,169 @@ def gen_prob_dist(rng, cfg, space: FiniteSpace) -> Dist:
     return _total_one(rng, cfg, rng.sample(space.elements, k))
 
 
-def gen_prob_line_dist(rng, cfg) -> Dist:
-    pool = _line_pool(cfg.coefficient_bound)
-    k = rng.randint(1, min(cfg.max_support, len(pool)))
-    return _total_one(rng, cfg, rng.sample(pool, k))
+# -- draw specs -----------------------------------------------------------------
+# A draw spec is called as spec(rng, cfg, semiring, drawn); `space` below is
+# a function of cfg, such as space_a or line.
 
 
-def gen_prob_pair_dist(rng, cfg) -> Dist:
+def const(value):
+    return lambda rng, cfg, sr, drawn: value
+
+
+def choice(values):
+    return lambda rng, cfg, sr, drawn: rng.choice(values)
+
+
+def point(space):
+    return lambda rng, cfg, sr, drawn: rng.choice(space(cfg).elements)
+
+
+def scalar(nonzero=True):
+    return lambda rng, cfg, sr, drawn: gen_scalar(rng, cfg, sr, nonzero)
+
+
+def dist(space, min_support=0):
+    return lambda rng, cfg, sr, drawn: gen_dist(rng, cfg, space(cfg), sr, min_support)
+
+
+def nested(space, depth=2):
+    return lambda rng, cfg, sr, drawn: gen_nested(rng, cfg, space(cfg), sr, depth)
+
+
+def prob(space):
+    return lambda rng, cfg, sr, drawn: gen_prob_dist(rng, cfg, space(cfg))
+
+
+def table(domain, codomain):
+    """A map between two spaces, as a table."""
+    return lambda rng, cfg, sr, drawn: FunTable(
+        domain(cfg), {x: rng.choice(codomain(cfg).elements) for x in domain(cfg)}
+    )
+
+
+def scalar_table(domain):
+    return lambda rng, cfg, sr, drawn: FunTable(
+        domain(cfg), {x: gen_scalar(rng, cfg, sr, nonzero=False) for x in domain(cfg)}
+    )
+
+
+def dist_table(domain, codomain):
+    """A table whose values are distributions (a tabulated kernel)."""
+    return lambda rng, cfg, sr, drawn: FunTable(
+        domain(cfg), {x: gen_dist(rng, cfg, codomain(cfg), sr) for x in domain(cfg)}
+    )
+
+
+def on_pairs(spec):
+    """A dict from each pair of space_a x space_c to a drawn value."""
+    return lambda rng, cfg, sr, drawn: {
+        (x, y): spec(rng, cfg, sr, drawn) for x in space_a(cfg) for y in space_c(cfg)
+    }
+
+
+def several(spec):
+    """One to three values of `spec`, as a list."""
+    return lambda rng, cfg, sr, drawn: [
+        spec(rng, cfg, sr, drawn) for _ in range(rng.randint(1, 3))
+    ]
+
+
+def mixture_of(name):
+    """The values of the drawn list `name`, mixed with random weights."""
+    return lambda rng, cfg, sr, drawn: Dist(
+        ((v, gen_scalar(rng, cfg, sr)) for v in drawn[name]), sr
+    )
+
+
+def affine(rng, cfg, sr, drawn) -> AffineMap:
+    return AffineMap(gen_scalar(rng, cfg, nonzero=False), gen_scalar(rng, cfg, nonzero=False))
+
+
+def poly(rng, cfg, sr, drawn) -> TestFn:
+    """A random quadratic as a scalar test function on the line."""
+    c0, c1, c2 = (gen_scalar(rng, cfg, nonzero=False) for _ in range(3))
+    return TestFn(lambda x: c0 + c1 * x + c2 * x * x, label=f"{c0} + ({c1})x + ({c2})x^2")
+
+
+def kernel(rng, cfg, sr, drawn) -> TestFn:
+    """A total, distribution-valued function on the line, of the shape
+    x -> sum of w_i * dirac(u_i * x + v_i)."""
+    pool = line(cfg).elements
+    terms = [
+        (gen_scalar(rng, cfg), rng.choice(pool), rng.choice(pool))
+        for _ in range(rng.randint(1, 2))
+    ]
+    label = " + ".join(f"({w}) dirac(({u})x + ({v}))" for w, u, v in terms)
+    return TestFn(lambda x: Dist((u * x + v, w) for w, u, v in terms), Dist.empty(), label)
+
+
+def joint(rng, cfg, sr, drawn) -> Dist:
     """A total-1 joint over rational pairs, usually correlated."""
-    candidates = _line_pool(cfg.coefficient_bound)
+    pool = line(cfg).elements
     k = rng.randint(1, cfg.max_support)
-    points = {(rng.choice(candidates), rng.choice(candidates)) for _ in range(k)}
-    return _total_one(rng, cfg, sorted(points))
+    return _total_one(rng, cfg, sorted({(rng.choice(pool), rng.choice(pool)) for _ in range(k)}))
 
 
-def gen_nonzero_total_line_dist(rng, cfg) -> Dist:
+def nonzero_total(rng, cfg, sr, drawn) -> Dist:
+    """A line distribution whose total is not zero."""
     while True:
-        p = gen_line_dist(rng, cfg, min_support=1)
+        p = gen_dist(rng, cfg, line(cfg), min_support=1)
         if total(p) != 0:
             return p
 
 
-def gen_affine(rng, cfg) -> AffineMap:
-    return AffineMap(
-        gen_scalar(rng, cfg, nonzero=False), gen_scalar(rng, cfg, nonzero=False)
-    )
-
-
-def gen_step(rng) -> Step:
-    return Step(rng.choice(STEPS))
-
-
-def gen_poly_fn(rng, cfg) -> TestFn:
-    """A random quadratic as a scalar test function on the line."""
-    c0, c1, c2 = (gen_scalar(rng, cfg, nonzero=False) for _ in range(3))
-
-    def poly(x):
-        return c0 + c1 * x + c2 * x * x
-
-    return TestFn(poly, label=f"{c0} + ({c1})x + ({c2})x^2")
-
-
-def gen_dist_valued_line_fn(rng, cfg) -> TestFn:
-    """A total, distribution-valued function on the line, of the shape
-    x -> sum of w_i * dirac(u_i * x + v_i)."""
-    terms = [
-        (gen_scalar(rng, cfg), gen_rational_point(rng, cfg), gen_rational_point(rng, cfg))
-        for _ in range(rng.randint(1, 2))
-    ]
-
-    def kernel(x):
-        return Dist((u * x + v, w) for w, u, v in terms)
-
-    return TestFn.dist_valued(kernel)
-
-
-def gen_balanced_line_dist(rng, cfg, step: Step) -> Dist:
-    """A distribution with zero total on every step-translation orbit,
-    i.e. one that is guaranteed to have a primitive."""
-    d = step.d
-    acc = Dist.empty()
-    for _ in range(rng.randint(1, 3)):
-        x0 = gen_rational_point(rng, cfg)
-        block = []
-        ws = []
-        for _ in range(rng.randint(1, 3)):
-            w = gen_scalar(rng, cfg)
-            block.append((x0 + rng.randint(-4, 4) * d, w))
-            ws.append(w)
-        block.append((x0 + rng.randint(-4, 4) * d, -sum(ws)))
-        acc = dist_add(acc, Dist(block))
-    return acc
+def line_mixture(rng, cfg, sr, drawn) -> Dist:
+    """A mixture of two line distributions."""
+    return Dist((gen_dist(rng, cfg, line(cfg)), gen_scalar(rng, cfg)) for _ in range(2))
 
 
 # -- the registry and the runner ---------------------------------------------------
 
 
 class Law(FrozenValue):
-    __slots__ = _fields = ("name", "statement", "case", "deterministic")
+    """A named statement and its body, a generator function of the law's
+    inputs; `draws` pairs each parameter name with its default draw spec."""
 
-    def __init__(self, name, statement, case, deterministic=False):
-        super().__init__(name, statement, case, deterministic)
+    __slots__ = ("name", "statement", "body", "semiring", "deterministic", "draws")
+    _fields = __slots__[:5]
+
+    def __init__(self, name, statement, body, semiring=RATIONALS, deterministic=False):
+        super().__init__(name, statement, body, semiring, deterministic)
+        code = body.__code__
+        names = code.co_varnames[:code.co_argcount]
+        specs = body.__defaults__ or ()
+        if len(specs) != len(names) or code.co_kwonlyargcount:
+            raise TypeError(f"law {name!r}: every parameter needs a draw spec as its default")
+        object.__setattr__(self, "draws", tuple(zip(names, specs)))
+
+    def draw(self, rng, cfg: GenConfig) -> dict:
+        """One case's inputs by name, drawn from rng in parameter order."""
+        drawn = {}
+        for name, spec in self.draws:
+            drawn[name] = spec(rng, cfg, self.semiring, drawn)
+        return drawn
 
 
 LAWS: "dict[str, Law]" = {}
 
 
-def law(name: str, statement: str, deterministic: bool = False):
-    """Register `case(rng, cfg)`, a generator of equations, as law `name`."""
+def law(name: str, statement: str, semiring: Semiring = RATIONALS,
+        deterministic: bool = False):
+    """Register a generator function of drawn inputs as law `name`."""
     if name in LAWS:
         raise ValueError(f"law {name!r} is already registered")
 
     def register(fn):
-        LAWS[name] = Law(name, statement, fn, deterministic)
+        LAWS[name] = Law(name, statement, fn, semiring, deterministic)
         return fn
 
     return register
 
 
-def _counterexample(inputs: dict, desc: str, lhs, rhs) -> str:
+def _counterexample(drawn: dict, desc: str, lhs, rhs) -> str:
     shown = ", ".join(
         f"{k}={v}" if isinstance(v, Fraction) else f"{k}={v!r}"
-        for k, v in inputs.items()
+        for k, v in drawn.items()
     )
     head = f"{shown}; " if shown else ""
     return f"{head}{desc}: {lhs!r} != {rhs!r}"
@@ -358,10 +395,11 @@ def run_law(name: str, cfg: GenConfig) -> LawReport:
     rng = random.Random(f"{cfg.seed}:{name}")
     n = 1 if entry.deterministic else cfg.cases
     for i in range(1, n + 1):
-        for inputs, desc, lhs, rhs in entry.case(rng, cfg):
+        drawn = entry.draw(rng, cfg)
+        for desc, lhs, rhs in entry.body(*drawn.values()):
             if not lhs == rhs:
                 return LawReport(name, entry.statement, i, False,
-                                 _counterexample(inputs, desc, lhs, rhs))
+                                 _counterexample(drawn, desc, lhs, rhs))
     return LawReport(name, entry.statement, n, True)
 
 
@@ -380,187 +418,139 @@ def _mixing(g, mm: Dist) -> tuple:
     return lhs, structure_map(pushforward(g, mm), zero=zero_like(lhs, sr))
 
 
+def _linear(g, p, q, c, name=""):
+    """Both equations of "g is additive and homogeneous" on P, Q and c."""
+    yield f"{name}additive", g(dist_add(p, q)), dist_add(g(p), g(q))
+    yield f"{name}homogeneous", g(scale(c, p)), scale(c, g(p))
+
+
+def _rig_axioms(sr, a, b, c):
+    """The equations of a commutative semiring with an absorbing zero."""
+    add, mul = sr.add, sr.mul
+    yield "(a+b)+c = a+(b+c)", add(add(a, b), c), add(a, add(b, c))
+    yield "a+b = b+a", add(a, b), add(b, a)
+    yield "(ab)c = a(bc)", mul(mul(a, b), c), mul(a, mul(b, c))
+    yield "ab = ba", mul(a, b), mul(b, a)
+    yield "a(b+c) = ab+ac", mul(a, add(b, c)), add(mul(a, b), mul(a, c))
+    yield "0*a = 0", mul(sr.zero, a), sr.zero
+
+
 # -- core monad/module laws ----------------------------------------------------
 
 
 @law("scalar_field_laws",
      "rational +/* are associative, commutative, distributive; - and / invert")
-def _scalar_field_laws(rng, cfg):
+def _scalar_field_laws(a=scalar(nonzero=False), b=scalar(nonzero=False),
+                       c=scalar(nonzero=False)):
     sr = RATIONALS
-    a, b, c = (gen_scalar(rng, cfg, nonzero=False) for _ in range(3))
-    ins = {"a": a, "b": b, "c": c}
-    yield ins, "(a+b)+c = a+(b+c)", sr.add(sr.add(a, b), c), sr.add(a, sr.add(b, c))
-    yield ins, "a+b = b+a", sr.add(a, b), sr.add(b, a)
-    yield ins, "(ab)c = a(bc)", sr.mul(sr.mul(a, b), c), sr.mul(a, sr.mul(b, c))
-    yield ins, "ab = ba", sr.mul(a, b), sr.mul(b, a)
-    yield ins, "a(b+c) = ab+ac", sr.mul(a, sr.add(b, c)), sr.add(sr.mul(a, b), sr.mul(a, c))
-    yield ins, "0*a = 0", sr.mul(sr.zero, a), sr.zero
-    yield ins, "a-a = 0", sr.sub(a, a), sr.zero
+    yield from _rig_axioms(sr, a, b, c)
+    yield "a-a = 0", sr.sub(a, a), sr.zero
     if a != 0:
-        yield ins, "a * (1/a) = 1", sr.mul(a, sr.inv(a)), sr.one
+        yield "a * (1/a) = 1", sr.mul(a, sr.inv(a)), sr.one
 
 
 @law("boolean_rig_laws",
-     "boolean or/and form a commutative rig (no negation, no inverses)")
-def _boolean_rig_laws(rng, cfg):
+     "boolean or/and form a commutative rig (no negation, no inverses)",
+     semiring=BOOLEANS)
+def _boolean_rig_laws(a=scalar(nonzero=False), b=scalar(nonzero=False),
+                      c=scalar(nonzero=False)):
     sr = BOOLEANS
-    a, b, c = (rng.choice((False, True)) for _ in range(3))
-    ins = {"a": a, "b": b, "c": c}
-    yield ins, "(a+b)+c = a+(b+c)", sr.add(sr.add(a, b), c), sr.add(a, sr.add(b, c))
-    yield ins, "a+b = b+a", sr.add(a, b), sr.add(b, a)
-    yield ins, "(ab)c = a(bc)", sr.mul(sr.mul(a, b), c), sr.mul(a, sr.mul(b, c))
-    yield ins, "ab = ba", sr.mul(a, b), sr.mul(b, a)
-    yield ins, "a(b+c) = ab+ac", sr.mul(a, sr.add(b, c)), sr.add(sr.mul(a, b), sr.mul(a, c))
-    yield ins, "0*a = 0", sr.mul(sr.zero, a), sr.zero
-    yield ins, "1*a = a", sr.mul(sr.one, a), a
-    yield ins, "0+a = a", sr.add(sr.zero, a), a
-    yield ins, "neg is absent", sr.is_ring, False
-    yield ins, "inv is absent", sr.has_inverses, False
+    yield from _rig_axioms(sr, a, b, c)
+    yield "1*a = a", sr.mul(sr.one, a), a
+    yield "0+a = a", sr.add(sr.zero, a), a
+    yield "neg is absent", sr.is_ring, False
+    yield "inv is absent", sr.has_inverses, False
 
 
 @law("monad_laws",
      "flatten and dirac satisfy the unit and associativity laws of a monad")
-def _monad_laws(rng, cfg, semiring=RATIONALS):
-    sp = space_a(cfg)
-    p = gen_dist(rng, cfg, sp, semiring)
-    yield {"P": p}, "flatten(dirac(P)) = P", flatten(dirac(p, semiring)), p
-    yield ({"P": p}, "flatten(map dirac P) = P",
-           flatten(pushforward(lambda x: dirac(x, semiring), p)), p)
-    ppp = gen_nested(rng, cfg, sp, semiring, depth=3)
-    yield ({"PPP": ppp}, "flatten.flatten = flatten.map(flatten)",
-           flatten(flatten(ppp)), flatten(pushforward(flatten, ppp)))
+def _monad_laws(P=dist(space_a), PPP=nested(space_a, depth=3)):
+    unit = lambda x: dirac(x, P.semiring)
+    yield "flatten(dirac(P)) = P", flatten(unit(P)), P
+    yield "flatten(map dirac P) = P", flatten(pushforward(unit, P)), P
+    yield ("flatten.flatten = flatten.map(flatten)",
+           flatten(flatten(PPP)), flatten(pushforward(flatten, PPP)))
 
 
 @law("functor_laws", "pushforward preserves identities and composition")
-def _functor_laws(rng, cfg, semiring=RATIONALS):
-    sa, sb, sc = space_a(cfg), space_b(cfg), space_c(cfg)
-    p = gen_dist(rng, cfg, sa, semiring)
-    f = gen_map(rng, sa, sb)
-    g = gen_map(rng, sb, sc)
-    ins = {"P": p, "f": f, "g": g}
-    yield ins, "pushforward(id) = id", pushforward(lambda x: x, p), p
-    yield (ins, "pushforward(g.f) = pushforward(g).pushforward(f)",
-           pushforward(lambda x: g(f(x)), p), pushforward(g, pushforward(f, p)))
+def _functor_laws(P=dist(space_a), f=table(space_a, space_b), g=table(space_b, space_c)):
+    yield "pushforward(id) = id", pushforward(lambda x: x, P), P
+    yield ("pushforward(g.f) = pushforward(g).pushforward(f)",
+           pushforward(lambda x: g(f(x)), P), pushforward(g, pushforward(f, P)))
 
 
 @law("total_pushforward", "total(pushforward(f, P)) = total(P) for every f")
-def _total_pushforward(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    p = gen_dist(rng, cfg, sa)
-    f = gen_map(rng, sa, sb)
-    yield {"P": p, "f": f}, "total is pushforward-invariant", total(pushforward(f, p)), total(p)
+def _total_pushforward(P=dist(space_a), f=table(space_a, space_b)):
+    yield "total is pushforward-invariant", total(pushforward(f, P)), total(P)
 
 
 @law("linear_extension",
      "linear extension restricts to f on point masses, is additive and "
      "homogeneous, and equals flatten after pushforward")
-def _linear_extension(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    f = gen_dist_table(rng, cfg, sa, sb)
+def _linear_extension(f=dist_table(space_a, space_b), P=dist(space_a), Q=dist(space_a),
+                      c=scalar(), x=point(space_a)):
     ext = lambda p: linear_extend(f, p)
-    p, q = gen_dist(rng, cfg, sa), gen_dist(rng, cfg, sa)
-    c = gen_scalar(rng, cfg)
-    x = rng.choice(sa.elements)
-    ins = {"P": p, "Q": q, "c": c, "x": x, "f": f}
-    yield ins, "ext(dirac(x)) = f(x)", ext(dirac(x)), f(x)
-    yield ins, "ext = flatten.pushforward(f)", ext(p), flatten(pushforward(f, p))
-    yield ins, "ext(P+Q) = ext(P)+ext(Q)", ext(dist_add(p, q)), dist_add(ext(p), ext(q))
-    yield ins, "ext(cP) = c ext(P)", ext(scale(c, p)), scale(c, ext(p))
-    yield (ins, "extension of dirac is the identity",
-           linear_extend(TestFn.dist_valued(dirac), p), p)
+    yield "ext(dirac(x)) = f(x)", ext(dirac(x)), f(x)
+    yield "ext = flatten.pushforward(f)", ext(P), flatten(pushforward(f, P))
+    yield from _linear(ext, P, Q, c, "ext ")
+    yield "extension of dirac is the identity", linear_extend(TestFn.dist_valued(dirac), P), P
 
 
 @law("biproduct",
      "split/merge over tagged points are mutually inverse module "
      "isomorphisms and totals add")
-def _biproduct(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    a, b = gen_dist(rng, cfg, sa), gen_dist(rng, cfg, sb)
-    m = biproduct_merge(a, b)
+def _biproduct(A=dist(space_a), B=dist(space_b), c=scalar(), A3=dist(space_a),
+               B3=dist(space_b)):
+    m = biproduct_merge(A, B)
     a2, b2 = biproduct_split(m)
-    c = gen_scalar(rng, cfg)
-    a3, b3 = gen_dist(rng, cfg, sa), gen_dist(rng, cfg, sb)
-    ins = {"A": a, "B": b, "c": c, "A3": a3, "B3": b3}
-    yield ins, "split(merge(A,B)) = (A,B)", (a2, b2), (a, b)
-    yield ins, "merge(split(M)) = M", biproduct_merge(a2, b2), m
-    yield ins, "total(merge) = total(A)+total(B)", total(m), total(a) + total(b)
-    yield (ins, "split respects +", biproduct_split(dist_add(m, biproduct_merge(a3, b3))),
-           (dist_add(a, a3), dist_add(b, b3)))
-    yield ins, "split respects scale", biproduct_split(scale(c, m)), (scale(c, a), scale(c, b))
-    yield ins, "merge(0,0) = 0", biproduct_merge(Dist.empty(), Dist.empty()), Dist.empty()
+    yield "split(merge(A,B)) = (A,B)", (a2, b2), (A, B)
+    yield "merge(split(M)) = M", biproduct_merge(a2, b2), m
+    yield "total(merge) = total(A)+total(B)", total(m), total(A) + total(B)
+    yield ("split respects +", biproduct_split(dist_add(m, biproduct_merge(A3, B3))),
+           (dist_add(A, A3), dist_add(B, B3)))
+    yield "split respects scale", biproduct_split(scale(c, m)), (scale(c, A), scale(c, B))
+    yield "merge(0,0) = 0", biproduct_merge(Dist.empty(), Dist.empty()), Dist.empty()
 
 
 @law("additivity",
      "sampled linear maps are additive/homogeneous; tensor, convolution "
      "and the pairing are bi-additive")
-def _additivity(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    f = gen_map(rng, sa, sb)
-    phi = gen_scalar_table(rng, cfg, sa)
-    c = gen_scalar(rng, cfg)
-    p, q = gen_dist(rng, cfg, sa), gen_dist(rng, cfg, sa)
-    linear_maps = [
-        ("pushforward", lambda r: pushforward(f, r)),
-        ("scale", lambda r: scale(c, r)),
-        ("reweight", lambda r: fn_action(r, phi)),
-    ]
-    ins = {"P": p, "Q": q, "c": c}
-    for name, g in linear_maps:
-        yield ins, f"{name} additive", g(dist_add(p, q)), dist_add(g(p), g(q))
-        yield ins, f"{name} homogeneous", g(scale(c, p)), scale(c, g(p))
-    r, s = gen_dist(rng, cfg, sb), gen_dist(rng, cfg, sb)
-    ins = {"P": p, "Q": q, "R": r, "S": s}
-    yield (ins, "tensor left-additive", tensor(dist_add(p, q), r),
-           dist_add(tensor(p, r), tensor(q, r)))
-    yield (ins, "tensor right-additive", tensor(p, dist_add(r, s)),
-           dist_add(tensor(p, r), tensor(p, s)))
-    yield (ins, "pairing additive in P", pair(dist_add(p, q), phi),
-           pair(p, phi) + pair(q, phi))
-    lp, lq = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
-    lr = gen_line_dist(rng, cfg)
-    yield ({"P": lp, "Q": lq, "R": lr}, "convolution left-additive",
-           convolve(dist_add(lp, lq), lr), dist_add(convolve(lp, lr), convolve(lq, lr)))
+def _additivity(f=table(space_a, space_b), phi=scalar_table(space_a), c=scalar(),
+                P=dist(space_a), Q=dist(space_a), R=dist(space_b), S=dist(space_b),
+                L1=dist(line), L2=dist(line), L3=dist(line)):
+    yield from _linear(lambda r: pushforward(f, r), P, Q, c, "pushforward ")
+    yield from _linear(lambda r: scale(c, r), P, Q, c, "scale ")
+    yield from _linear(lambda r: fn_action(r, phi), P, Q, c, "reweight ")
+    yield "tensor left-additive", tensor(dist_add(P, Q), R), dist_add(tensor(P, R), tensor(Q, R))
+    yield ("tensor right-additive",
+           tensor(P, dist_add(R, S)), dist_add(tensor(P, R), tensor(P, S)))
+    yield "pairing additive in P", pair(dist_add(P, Q), phi), pair(P, phi) + pair(Q, phi)
+    yield ("convolution left-additive", convolve(dist_add(L1, L2), L3),
+           dist_add(convolve(L1, L3), convolve(L2, L3)))
 
 
 @law("linearity_closure",
      "pointwise sums and scalar multiples of linear maps are linear again")
-def _linearity_closure(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    f1 = gen_map(rng, sa, sb)
-    f2 = gen_map(rng, sa, sb)
-    phi = gen_scalar_table(rng, cfg, sa)
-    c = gen_scalar(rng, cfg)
-    table2 = gen_scalar_table(rng, cfg, sb)
+def _linearity_closure(f1=table(space_a, space_b), f2=table(space_a, space_b),
+                       phi=scalar_table(space_a), c=scalar(), table2=scalar_table(space_b),
+                       mix1=nested(space_a), mix2=nested(space_a), mix3=nested(space_a)):
     g1 = lambda p: pushforward(f1, p)
     g2 = lambda p: fn_action(pushforward(f2, p), table2)
     g3 = lambda p: fn_action(p, phi)
-    combined = [
-        ("g1+g2", lambda p: dist_add(g1(p), g2(p))),
-        ("c*g1", lambda p: scale(c, g1(p))),
-        ("g1+g3", lambda p: dist_add(g1(p), g3(p))),
-    ]
-    for name, g in combined:
-        mix = gen_nested(rng, cfg, sa, depth=2)
-        yield {"mix": mix}, f"{name} is linear on the mixture", *_mixing(g, mix)
+    yield "g1+g2 is linear on the mixture", *_mixing(lambda p: dist_add(g1(p), g2(p)), mix1)
+    yield "c*g1 is linear on the mixture", *_mixing(lambda p: scale(c, g1(p)), mix2)
+    yield "g1+g3 is linear on the mixture", *_mixing(lambda p: dist_add(g1(p), g3(p)), mix3)
 
 
 @law("scale_equivariance",
      "pushforward, flatten, reweighting and the derivative all commute "
      "with scalar multiplication")
-def _scale_equivariance(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    c = gen_scalar(rng, cfg)
-    p = gen_dist(rng, cfg, sa)
-    f = gen_map(rng, sa, sb)
-    yield ({"P": p, "c": c, "f": f}, "pushforward equivariant",
-           pushforward(f, scale(c, p)), scale(c, pushforward(f, p)))
-    pp = gen_nested(rng, cfg, sa, depth=2)
-    yield ({"PP": pp, "c": c}, "flatten equivariant",
-           flatten(scale(c, pp)), scale(c, flatten(pp)))
-    lp = gen_line_dist(rng, cfg)
-    step = gen_step(rng)
-    yield ({"P": lp, "c": c, "d": step.d}, "derivative equivariant",
-           derivative(scale(c, lp), step), scale(c, derivative(lp, step)))
+def _scale_equivariance(c=scalar(), P=dist(space_a), f=table(space_a, space_b),
+                        PP=nested(space_a), L=dist(line), step=choice(STEPS)):
+    yield "pushforward equivariant", pushforward(f, scale(c, P)), scale(c, pushforward(f, P))
+    yield "flatten equivariant", flatten(scale(c, PP)), scale(c, flatten(PP))
+    yield ("derivative equivariant",
+           derivative(scale(c, L), step), scale(c, derivative(L, step)))
 
 
 # -- strength and Fubini laws ---------------------------------------------------
@@ -569,257 +559,180 @@ def _scale_equivariance(rng, cfg):
 @law("strength_units",
      "the strengths send point masses to point masses on pairs and agree "
      "with tensoring against a dirac")
-def _strength_units(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    x, y = rng.choice(sa.elements), rng.choice(sb.elements)
-    q = gen_dist(rng, cfg, sb)
-    ins = {"x": x, "y": y, "Q": q}
-    yield (ins, "strength_left(x, dirac(y)) = dirac((x,y))",
-           strength_left(x, dirac(y)), dirac((x, y)))
-    yield (ins, "strength_right(dirac(x), y) = dirac((x,y))",
+def _strength_units(x=point(space_a), y=point(space_b), Q=dist(space_b)):
+    yield "strength_left(x, dirac(y)) = dirac((x,y))", strength_left(x, dirac(y)), dirac((x, y))
+    yield ("strength_right(dirac(x), y) = dirac((x,y))",
            strength_right(dirac(x), y), dirac((x, y)))
-    yield ins, "strength_left = tensor against dirac", strength_left(x, q), tensor(dirac(x), q)
-    yield ins, "strength_left(x, 0) = 0", strength_left(x, Dist.empty()), Dist.empty()
+    yield "strength_left = tensor against dirac", strength_left(x, Q), tensor(dirac(x), Q)
+    yield "strength_left(x, 0) = 0", strength_left(x, Dist.empty()), Dist.empty()
 
 
 @law("strength_pentagons",
      "the strengths commute with mixing: linear in their distribution slot")
-def _strength_pentagons(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    x = rng.choice(sa.elements)
-    qq = gen_nested(rng, cfg, sb, depth=2)
-    yield ({"x": x, "QQ": qq}, "strength_left pentagon",
-           *_mixing(lambda q: strength_left(x, q), qq))
-    y = rng.choice(sb.elements)
-    pp = gen_nested(rng, cfg, sa, depth=2)
-    yield ({"PP": pp, "y": y}, "strength_right pentagon",
-           *_mixing(lambda p: strength_right(p, y), pp))
+def _strength_pentagons(x=point(space_a), QQ=nested(space_b), y=point(space_b),
+                        PP=nested(space_a)):
+    yield "strength_left pentagon", *_mixing(lambda q: strength_left(x, q), QQ)
+    yield "strength_right pentagon", *_mixing(lambda p: strength_right(p, y), PP)
 
 
 @law("extension_triangles",
      "partial-linear extensions restrict to the original map on point masses")
-def _extension_triangles(rng, cfg):
-    sa, sb = space_a(cfg), space_c(cfg)
-    values = {
-        (x, y): gen_dist(rng, cfg, space_b(cfg)) for x in sa for y in sb
-    }
+def _extension_triangles(values=on_pairs(dist(space_b)), x=point(space_a), y=point(space_c)):
     f = TestFn.dist_valued(lambda x, y: values[(x, y)])
-    x, y = rng.choice(sa.elements), rng.choice(sb.elements)
-    ins = {"x": x, "y": y}
-    yield ins, "2-linear triangle", extend_2linear(f)(x, dirac(y)), f(x, y)
-    yield ins, "1-linear triangle", extend_1linear(f)(dirac(x), y), f(x, y)
-    yield ins, "bilinear triangle", extend_bilinear(f)(dirac(x), dirac(y)), f(x, y)
+    yield "2-linear triangle", extend_2linear(f)(x, dirac(y)), f(x, y)
+    yield "1-linear triangle", extend_1linear(f)(dirac(x), y), f(x, y)
+    yield "bilinear triangle", extend_bilinear(f)(dirac(x), dirac(y)), f(x, y)
 
 
 @law("extension_uniqueness",
      "the direct weighted-sum extension and the strength-routed extension "
      "of the same map agree (uniqueness of partial-linear extensions)")
-def _extension_uniqueness(rng, cfg):
-    sa, sb = space_a(cfg), space_c(cfg)
-    values = {
-        (x, y): gen_dist(rng, cfg, space_b(cfg)) for x in sa for y in sb
-    }
+def _extension_uniqueness(values=on_pairs(dist(space_b)), x=point(space_a), Q=dist(space_c),
+                          P=dist(space_a), y=point(space_c),
+                          scalars=on_pairs(scalar(nonzero=False))):
     f = TestFn.dist_valued(lambda x, y: values[(x, y)])
-    x = rng.choice(sa.elements)
-    q = gen_dist(rng, cfg, sb)
-    p = gen_dist(rng, cfg, sa)
-    y = rng.choice(sb.elements)
-    yield ({"x": x, "Q": q}, "2-linear extension unique",
-           extend_2linear(f)(x, q), extend_2linear_via_strength(f)(x, q))
-    yield ({"P": p, "y": y}, "1-linear extension unique",
-           extend_1linear(f)(p, y), extend_1linear_via_strength(f)(p, y))
-    scalars = {(x, y): gen_scalar(rng, cfg, nonzero=False) for x in sa for y in sb}
+    yield ("2-linear extension unique",
+           extend_2linear(f)(x, Q), extend_2linear_via_strength(f)(x, Q))
+    yield ("1-linear extension unique",
+           extend_1linear(f)(P, y), extend_1linear_via_strength(f)(P, y))
     g = lambda x, y: scalars[(x, y)]
-    yield ({"x": x, "Q": q}, "scalar-valued 2-linear extension unique",
-           extend_2linear(g)(x, q), extend_2linear_via_strength(g)(x, q))
+    yield ("scalar-valued 2-linear extension unique",
+           extend_2linear(g)(x, Q), extend_2linear_via_strength(g)(x, Q))
     # the bilinear extension is stage-order independent: extending the
     # first slot first agrees with extending the second slot first
-    second_first = linear_extend(TestFn.dist_valued(lambda y: extend_1linear(f)(p, y)), q)
-    yield ({"P": p, "Q": q}, "bilinear extension stage order",
-           extend_bilinear(f)(p, q), second_first)
+    second_first = linear_extend(TestFn.dist_valued(lambda y: extend_1linear(f)(P, y)), Q)
+    yield "bilinear extension stage order", extend_bilinear(f)(P, Q), second_first
 
 
 @law("fubini",
      "the two extension orders build the same tensor: Fubini's theorem "
      "for finite mixtures")
-def _fubini(rng, cfg, semiring=RATIONALS):
-    p = gen_dist(rng, cfg, space_a(cfg), semiring)
-    q = gen_dist(rng, cfg, space_b(cfg), semiring)
-    yield {"P": p, "Q": q}, "tensor = tensor_iterated", tensor(p, q), tensor_iterated(p, q)
+def _fubini(P=dist(space_a), Q=dist(space_b)):
+    yield "tensor = tensor_iterated", tensor(P, Q), tensor_iterated(P, Q)
 
 
 @law("tensor_bilinear", "tensor is linear in each argument separately")
-def _tensor_bilinear(rng, cfg):
-    pp = gen_nested(rng, cfg, space_a(cfg), depth=2)
-    qq = gen_nested(rng, cfg, space_b(cfg), depth=2)
-    p, q = flatten(pp), flatten(qq)
-    ins = {"PP": pp, "QQ": qq}
-    yield ins, "tensor linear in P", *_mixing(lambda m: tensor(m, q), pp)
-    yield ins, "tensor linear in Q", *_mixing(lambda n: tensor(p, n), qq)
+def _tensor_bilinear(PP=nested(space_a), QQ=nested(space_b)):
+    p, q = flatten(PP), flatten(QQ)
+    yield "tensor linear in P", *_mixing(lambda m: tensor(m, q), PP)
+    yield "tensor linear in Q", *_mixing(lambda n: tensor(p, n), QQ)
 
 
 @law("tensor_total", "total(P (x) Q) = total(P) * total(Q)")
-def _tensor_total(rng, cfg):
-    p = gen_dist(rng, cfg, space_a(cfg))
-    q = gen_dist(rng, cfg, space_b(cfg))
-    yield {"P": p, "Q": q}, "multiplicative totals", total(tensor(p, q)), total(p) * total(q)
+def _tensor_total(P=dist(space_a), Q=dist(space_b)):
+    yield "multiplicative totals", total(tensor(P, Q)), total(P) * total(Q)
 
 
 @law("tensor_symmetry_associativity",
      "tensor is symmetric and associative up to relabeling pair points")
-def _tensor_symmetry_associativity(rng, cfg):
-    p = gen_dist(rng, cfg, space_a(cfg))
-    q = gen_dist(rng, cfg, space_b(cfg))
-    r = gen_dist(rng, cfg, space_c(cfg))
+def _tensor_symmetry_associativity(P=dist(space_a), Q=dist(space_b), R=dist(space_c)):
     twist = lambda xy: (xy[1], xy[0])
     assoc = lambda xyz: (xyz[0][0], (xyz[0][1], xyz[1]))
-    ins = {"P": p, "Q": q, "R": r}
-    yield ins, "twist . tensor = tensor . swap", pushforward(twist, tensor(p, q)), tensor(q, p)
-    yield (ins, "reassociation", pushforward(assoc, tensor(tensor(p, q), r)),
-           tensor(p, tensor(q, r)))
+    yield "twist . tensor = tensor . swap", pushforward(twist, tensor(P, Q)), tensor(Q, P)
+    yield "reassociation", pushforward(assoc, tensor(tensor(P, Q), R)), tensor(P, tensor(Q, R))
 
 
 @law("tensor_initial",
      "bilinear extension of the dirac pairing is the tensor; 2-linear "
      "extension of it is the strength")
-def _tensor_initial(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
+def _tensor_initial(P=dist(space_a), Q=dist(space_b), x=point(space_a)):
     unit_pair = TestFn.dist_valued(lambda x, y: dirac((x, y)))
-    p, q = gen_dist(rng, cfg, sa), gen_dist(rng, cfg, sb)
-    x = rng.choice(sa.elements)
-    ins = {"P": p, "Q": q, "x": x}
-    yield (ins, "extend_bilinear(dirac pair) = tensor",
-           extend_bilinear(unit_pair)(p, q), tensor(p, q))
-    yield (ins, "extend_2linear(dirac pair) = strength_left",
-           extend_2linear(unit_pair)(x, q), strength_left(x, q))
+    yield "extend_bilinear(dirac pair) = tensor", extend_bilinear(unit_pair)(P, Q), tensor(P, Q)
+    yield ("extend_2linear(dirac pair) = strength_left",
+           extend_2linear(unit_pair)(x, Q), strength_left(x, Q))
 
 
 @law("cotensor",
      "evaluating a mixture of function tables at a point equals mixing "
      "the evaluations, naturally in the codomain")
-def _cotensor(rng, cfg):
-    sa, sb, sc = space_a(cfg), space_b(cfg), space_c(cfg)
-    tables = [gen_map(rng, sa, sb) for _ in range(rng.randint(1, 3))]
-    pf = Dist((t, gen_scalar(rng, cfg)) for t in tables)
-    x = rng.choice(sa.elements)
+def _cotensor(tables=several(table(space_a, space_b)), PF=mixture_of("tables"),
+              x=point(space_a), h=table(space_b, space_c)):
     g = tables[0]
-    yield ({"g": g, "x": x}, "cotensor of a point mass evaluates the table",
+    yield ("cotensor of a point mass evaluates the table",
            cotensor_strength(dirac(g), x), dirac(g(x)))
-    yield ({"PF": pf, "x": x}, "cotensor is linear in the mixture", cotensor_strength(pf, x),
-           linear_extend(TestFn.dist_valued(lambda t: dirac(t(x))), pf))
-    h = gen_map(rng, sb, sc)
-    post = lambda t: FunTable(sa, {a: h(t(a)) for a in sa})
-    yield ({"PF": pf, "h": h, "x": x}, "cotensor natural in the codomain",
-           cotensor_strength(pushforward(post, pf), x), pushforward(h, cotensor_strength(pf, x)))
+    yield ("cotensor is linear in the mixture", cotensor_strength(PF, x),
+           linear_extend(TestFn.dist_valued(lambda t: dirac(t(x))), PF))
+    post = lambda t: FunTable(t.domain, {a: h(t(a)) for a in t.domain})
+    yield ("cotensor natural in the codomain",
+           cotensor_strength(pushforward(post, PF), x), pushforward(h, cotensor_strength(PF, x)))
 
 
 # -- pairing laws ----------------------------------------------------------------
 
 
 @law("pairing_unit", "<dirac(x), phi> = phi(x)")
-def _pairing_unit(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    x = rng.choice(sa.elements)
-    phi = gen_scalar_table(rng, cfg, sa)
-    psi = gen_dist_table(rng, cfg, sa, sb)
-    yield {"x": x, "phi": phi}, "scalar case", pair(dirac(x), phi), phi(x)
-    yield {"x": x, "psi": psi}, "vector case", pair(dirac(x), psi), psi(x)
+def _pairing_unit(x=point(space_a), phi=scalar_table(space_a),
+                  psi=dist_table(space_a, space_b)):
+    yield "scalar case", pair(dirac(x), phi), phi(x)
+    yield "vector case", pair(dirac(x), psi), psi(x)
 
 
 @law("pairing_extranatural", "<pushforward(f, P), phi> = <P, phi . f>")
-def _pairing_extranatural(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    p = gen_dist(rng, cfg, sa)
-    f = gen_map(rng, sa, sb)
-    phi = gen_scalar_table(rng, cfg, sb)
-    yield ({"P": p, "f": f, "phi": phi}, "extranaturality",
-           pair(pushforward(f, p), phi), pair(p, lambda x: phi(f(x))))
+def _pairing_extranatural(P=dist(space_a), f=table(space_a, space_b),
+                          phi=scalar_table(space_b)):
+    yield "extranaturality", pair(pushforward(f, P), phi), pair(P, lambda x: phi(f(x)))
 
 
 @law("total_as_pairing", "total(P) = <P, 1>")
-def _total_as_pairing(rng, cfg):
-    p = gen_dist(rng, cfg, space_a(cfg))
-    yield {"P": p}, "total = <-, 1>", total(p), pair(p, constant_one())
+def _total_as_pairing(P=dist(space_a)):
+    yield "total = <-, 1>", total(P), pair(P, constant_one())
 
 
 @law("pairing_bilinear",
      "the pairing is linear in the distribution and in the test function")
-def _pairing_bilinear(rng, cfg):
-    sa = space_a(cfg)
-    pp = gen_nested(rng, cfg, sa, depth=2)
-    phi = gen_scalar_table(rng, cfg, sa)
-    yield ({"PP": pp, "phi": phi}, "pairing linear in P",
-           *_mixing(lambda p: pair(p, phi), pp))
-    p = gen_dist(rng, cfg, sa)
-    tables = [gen_scalar_table(rng, cfg, sa) for _ in range(rng.randint(1, 3))]
-    tt = Dist((t, gen_scalar(rng, cfg)) for t in tables)
-    if not tt.is_empty():
-        yield ({"P": p, "TT": tt}, "pairing linear in phi",
-               *_mixing(lambda t: pair(p, t), tt))
+def _pairing_bilinear(PP=nested(space_a), phi=scalar_table(space_a), P=dist(space_a),
+                      tables=several(scalar_table(space_a)), TT=mixture_of("tables")):
+    yield "pairing linear in P", *_mixing(lambda p: pair(p, phi), PP)
+    if not TT.is_empty():
+        yield "pairing linear in phi", *_mixing(lambda t: pair(P, t), TT)
 
 
 @law("semantics_monic",
      "evaluating the semantics functional at x -> dirac(x) recovers P")
-def _semantics_monic(rng, cfg):
-    p = gen_dist(rng, cfg, space_a(cfg))
-    yield {"P": p}, "enough test functions", eval_at_eta(semantics(p)), p
+def _semantics_monic(P=dist(space_a)):
+    yield "enough test functions", eval_at_eta(semantics(P)), P
 
 
 @law("switch", "<P |- phi, psi> = <P, phi * psi>")
-def _switch(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    p = gen_dist(rng, cfg, sa)
-    phi = gen_scalar_table(rng, cfg, sa)
-    psi = gen_dist_table(rng, cfg, sa, sb)
-    chi = gen_scalar_table(rng, cfg, sa)
+def _switch(P=dist(space_a), phi=scalar_table(space_a), psi=dist_table(space_a, space_b),
+            chi=scalar_table(space_a)):
     for desc, v in (("vector psi", psi), ("scalar psi", chi)):
-        yield ({"P": p, "phi": phi, "psi": v}, desc,
-               pair(fn_action(p, phi), v), pair(p, fn_pointwise_mul(phi, v)))
+        yield desc, pair(fn_action(P, phi), v), pair(P, fn_pointwise_mul(phi, v))
 
 
 @law("action_total", "<P, phi> = total(P |- phi)")
-def _action_total(rng, cfg):
-    sa = space_a(cfg)
-    p = gen_dist(rng, cfg, sa)
-    phi = gen_scalar_table(rng, cfg, sa)
-    yield ({"P": p, "phi": phi}, "<P, phi> = total(P |- phi)",
-           pair(p, phi), total(fn_action(p, phi)))
+def _action_total(P=dist(space_a), phi=scalar_table(space_a)):
+    yield "<P, phi> = total(P |- phi)", pair(P, phi), total(fn_action(P, phi))
 
 
 @law("action_monoid",
      "reweighting is associative and unitary: (P|-phi)|-psi = P|-(phi*psi), "
      "P|-1 = P")
-def _action_monoid(rng, cfg):
-    sa = space_a(cfg)
-    p = gen_dist(rng, cfg, sa)
-    phi1 = gen_scalar_table(rng, cfg, sa)
-    phi2 = gen_scalar_table(rng, cfg, sa)
-    ins = {"P": p, "phi1": phi1, "phi2": phi2}
-    yield (ins, "associativity", fn_action(fn_action(p, phi1), phi2),
-           fn_action(p, fn_pointwise_mul(phi1, phi2)))
-    yield ins, "unit", fn_action(p, constant_one()), p
+def _action_monoid(P=dist(space_a), phi1=scalar_table(space_a), phi2=scalar_table(space_a)):
+    yield ("associativity", fn_action(fn_action(P, phi1), phi2),
+           fn_action(P, fn_pointwise_mul(phi1, phi2)))
+    yield "unit", fn_action(P, constant_one()), P
 
 
 @law("frobenius", "pushforward(f, P) |- phi = pushforward(f, P |- (phi . f))")
-def _frobenius(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    p = gen_dist(rng, cfg, sa)
-    f = gen_map(rng, sa, sb)
-    phi = gen_scalar_table(rng, cfg, sb)
-    yield ({"P": p, "f": f, "phi": phi}, "Frobenius reciprocity",
-           fn_action(pushforward(f, p), phi), pushforward(f, fn_action(p, lambda x: phi(f(x)))))
+def _frobenius(P=dist(space_a), f=table(space_a, space_b), phi=scalar_table(space_b)):
+    yield ("Frobenius reciprocity",
+           fn_action(pushforward(f, P), phi), pushforward(f, fn_action(P, lambda x: phi(f(x)))))
+
+
+def _density_q(rng, cfg, sr, drawn) -> Dist:
+    """Random weights, zero allowed, on a random part of P's support."""
+    sub = [x for x in drawn["P"].support() if rng.random() < 0.7]
+    return Dist((x, gen_scalar(rng, cfg, nonzero=False)) for x in sub)
 
 
 @law("density_round_trip",
      "whenever Q/P exists, reweighting P by it recovers Q; the density of "
      "P in itself is the constant 1")
-def _density_round_trip(rng, cfg):
-    p = gen_dist(rng, cfg, space_a(cfg), min_support=1)
-    sub = [x for x in p.support() if rng.random() < 0.7]
-    q = Dist((x, gen_scalar(rng, cfg, nonzero=False)) for x in sub)
-    yield {"P": p, "Q": q}, "P |- (Q/P) = Q", fn_action(p, density(q, p)), q
-    yield ({"P": p}, "P/P = 1 on the support", set(density(p, p).values()),
-           {Fraction(1)} if len(p) else set())
+def _density_round_trip(P=dist(space_a, min_support=1), Q=_density_q):
+    yield "P |- (Q/P) = Q", fn_action(P, density(Q, P)), Q
+    yield ("P/P = 1 on the support",
+           set(density(P, P).values()), {Fraction(1)} if len(P) else set())
 
 
 # -- line calculus laws -----------------------------------------------------------
@@ -827,167 +740,139 @@ def _density_round_trip(rng, cfg):
 
 @law("convolution_monoid",
      "convolution is associative and commutative with unit dirac(0)")
-def _convolution_monoid(rng, cfg):
-    p, q, r = (gen_line_dist(rng, cfg) for _ in range(3))
-    ins = {"P": p, "Q": q, "R": r}
-    yield ins, "associative", convolve(convolve(p, q), r), convolve(p, convolve(q, r))
-    yield ins, "commutative", convolve(p, q), convolve(q, p)
-    yield ins, "unit", convolve(p, dirac(Fraction(0))), p
+def _convolution_monoid(P=dist(line), Q=dist(line), R=dist(line)):
+    yield "associative", convolve(convolve(P, Q), R), convolve(P, convolve(Q, R))
+    yield "commutative", convolve(P, Q), convolve(Q, P)
+    yield "unit", convolve(P, dirac(Fraction(0))), P
 
 
 @law("convolution_total", "total(P * Q) = total(P) * total(Q)")
-def _convolution_total(rng, cfg):
-    p, q = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
-    yield {"P": p, "Q": q}, "multiplicative totals", total(convolve(p, q)), total(p) * total(q)
+def _convolution_total(P=dist(line), Q=dist(line)):
+    yield "multiplicative totals", total(convolve(P, Q)), total(P) * total(Q)
 
 
 @law("expectation_unit", "E(dirac(x)) = x and moment(P, 0) = total(P)")
-def _expectation_unit(rng, cfg):
-    x = gen_rational_point(rng, cfg)
-    p = gen_line_dist(rng, cfg)
-    yield {"x": x, "P": p}, "E(dirac(x)) = x", expectation(dirac(x)), x
-    yield {"x": x, "P": p}, "moment 0 is the total", moment(p, 0), total(p)
+def _expectation_unit(x=point(line), P=dist(line)):
+    yield "E(dirac(x)) = x", expectation(dirac(x)), x
+    yield "moment 0 is the total", moment(P, 0), total(P)
 
 
 @law("expectation_convolution", "E(P*Q) = E(P) total(Q) + total(P) E(Q)")
-def _expectation_convolution(rng, cfg):
-    p, q = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
-    yield ({"P": p, "Q": q}, "product rule for expectations", expectation(convolve(p, q)),
-           expectation(p) * total(q) + total(p) * expectation(q))
+def _expectation_convolution(P=dist(line), Q=dist(line)):
+    yield ("product rule for expectations", expectation(convolve(P, Q)),
+           expectation(P) * total(Q) + total(P) * expectation(Q))
 
 
 @law("expectation_as_mu",
      "the pure-monad route to expectation (reading scalars as unit-space "
      "masses, flattening, and totalling) agrees with <P, x>")
-def _expectation_as_mu(rng, cfg):
-    p = gen_line_dist(rng, cfg)
-    x = gen_rational_point(rng, cfg)
-    ins = {"P": p, "x": x}
-    yield ins, "mixture route = pairing route", expectation_as_mu(p), expectation(p)
-    yield ins, "on point masses", expectation_as_mu(dirac(x)), x
-    yield ins, "on zero", expectation_as_mu(Dist.empty()), Fraction(0)
+def _expectation_as_mu(P=dist(line), x=point(line)):
+    yield "mixture route = pairing route", expectation_as_mu(P), expectation(P)
+    yield "on point masses", expectation_as_mu(dirac(x)), x
+    yield "on zero", expectation_as_mu(Dist.empty()), Fraction(0)
 
 
 @law("homothety_translation",
      "E(bP) = bE(P); translation is convolution with a point mass; "
      "translations shift total-1 expectations")
-def _homothety_translation(rng, cfg):
-    p = gen_line_dist(rng, cfg)
-    a = gen_rational_point(rng, cfg)
-    b = gen_rational_point(rng, cfg)
-    ins = {"P": p, "a": a, "b": b}
-    yield ins, "homothety scales E", expectation(homothety(p, b)), b * expectation(p)
-    yield ins, "translate = convolve with dirac", translate(p, a), convolve(p, dirac(a))
-    yield (ins, "E after translation", expectation(translate(p, a)),
-           expectation(p) + total(p) * a)
-    unit = gen_prob_line_dist(rng, cfg)
-    yield ({"P": unit, "a": a}, "total-1 translation", expectation(translate(unit, a)),
-           expectation(unit) + a)
+def _homothety_translation(P=dist(line), a=point(line), b=point(line), U=prob(line)):
+    yield "homothety scales E", expectation(homothety(P, b)), b * expectation(P)
+    yield "translate = convolve with dirac", translate(P, a), convolve(P, dirac(a))
+    yield "E after translation", expectation(translate(P, a)), expectation(P) + total(P) * a
+    yield "total-1 translation", expectation(translate(U, a)), expectation(U) + a
 
 
 @law("affine_expectation", "E(f(P)) = f(E(P)) for affine f and total-1 P")
-def _affine_expectation(rng, cfg):
-    p = gen_prob_line_dist(rng, cfg)
-    f = gen_affine(rng, cfg)
-    yield ({"P": p, "f": f}, "affine equivariance", expectation(pushforward(f, p)),
-           f(expectation(p)))
+def _affine_expectation(P=prob(line), f=affine):
+    yield "affine equivariance", expectation(pushforward(f, P)), f(expectation(P))
+    # pin what AffineMap(slope, offset) means, not just that it is affine
+    yield "f(0) is the offset", f(Fraction(0)), f.offset
+    yield "f(1) - f(0) is the slope", f(Fraction(1)) - f(Fraction(0)), f.slope
 
 
 @law("cg_affine",
      "the center of gravity is affine-equivariant: cg(f(P)) = f(cg(P))")
-def _cg_affine(rng, cfg):
-    p = gen_nonzero_total_line_dist(rng, cfg)
-    f = gen_affine(rng, cfg)
-    yield ({"P": p, "f": f}, "cg equivariance", center_of_gravity(pushforward(f, p)),
-           f(center_of_gravity(p)))
+def _cg_affine(P=nonzero_total, f=affine):
+    yield "cg equivariance", center_of_gravity(pushforward(f, P)), f(center_of_gravity(P))
 
 
 @law("derivative_total", "the derivative of any distribution has total 0")
-def _derivative_total(rng, cfg):
-    p = gen_line_dist(rng, cfg)
-    step = gen_step(rng)
-    yield {"P": p, "d": step.d}, "total(P') = 0", total(derivative(p, step)), Fraction(0)
+def _derivative_total(P=dist(line), step=choice(STEPS)):
+    yield "total(P') = 0", total(derivative(P, step)), Fraction(0)
 
 
 @law("derivative_expectation", "E(P') = total(P)")
-def _derivative_expectation(rng, cfg):
-    p = gen_line_dist(rng, cfg)
-    step = gen_step(rng)
-    yield {"P": p, "d": step.d}, "E(P') = total(P)", expectation(derivative(p, step)), total(p)
+def _derivative_expectation(P=dist(line), step=choice(STEPS)):
+    yield "E(P') = total(P)", expectation(derivative(P, step)), total(P)
 
 
 @law("derivative_switch", "<P', phi> = <P, phi'>")
-def _derivative_switch(rng, cfg):
-    p = gen_line_dist(rng, cfg)
-    step = gen_step(rng)
-    phi = gen_poly_fn(rng, cfg)
-    yield ({"P": p, "d": step.d, "phi": phi}, "scalar test functions",
-           pair(derivative(p, step), phi), pair(p, fn_derivative(phi, step)))
-    psi = gen_dist_valued_line_fn(rng, cfg)
-    yield ({"P": p, "d": step.d}, "vector test functions",
-           pair(derivative(p, step), psi), pair(p, fn_derivative(psi, step)))
+def _derivative_switch(P=dist(line), step=choice(STEPS), phi=poly, psi=kernel):
+    for desc, v in (("scalar test functions", phi), ("vector test functions", psi)):
+        yield desc, pair(derivative(P, step), v), pair(P, fn_derivative(v, step))
 
 
 @law("derivative_convolution", "(P*Q)' = P'*Q = P*Q'")
-def _derivative_convolution(rng, cfg):
-    p, q = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
-    step = gen_step(rng)
-    lhs = derivative(convolve(p, q), step)
-    ins = {"P": p, "Q": q, "d": step.d}
-    yield ins, "(P*Q)' = P'*Q", lhs, convolve(derivative(p, step), q)
-    yield ins, "(P*Q)' = P*Q'", lhs, convolve(p, derivative(q, step))
+def _derivative_convolution(P=dist(line), Q=dist(line), step=choice(STEPS)):
+    lhs = derivative(convolve(P, Q), step)
+    yield "(P*Q)' = P'*Q", lhs, convolve(derivative(P, step), Q)
+    yield "(P*Q)' = P*Q'", lhs, convolve(P, derivative(Q, step))
 
 
 @law("derivative_translation", "differentiation commutes with translation")
-def _derivative_translation(rng, cfg):
-    p = gen_line_dist(rng, cfg)
-    t = gen_rational_point(rng, cfg)
-    step = gen_step(rng)
-    yield ({"P": p, "t": t, "d": step.d}, "translation invariance",
-           derivative(translate(p, t), step), translate(derivative(p, step), t))
+def _derivative_translation(P=dist(line), t=point(line), step=choice(STEPS)):
+    yield ("translation invariance",
+           derivative(translate(P, t), step), translate(derivative(P, step), t))
 
 
 @law("derivative_linear",
      "differentiation is additive, homogeneous, and commutes with mixing")
-def _derivative_linear(rng, cfg):
-    p, q = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
-    c = gen_scalar(rng, cfg)
-    step = gen_step(rng)
+def _derivative_linear(P=dist(line), Q=dist(line), c=scalar(), step=choice(STEPS),
+                       mix=line_mixture):
     ddt = lambda r: derivative(r, step)
-    ins = {"P": p, "Q": q, "c": c, "d": step.d}
-    yield ins, "additive", ddt(dist_add(p, q)), dist_add(ddt(p), ddt(q))
-    yield ins, "homogeneous", ddt(scale(c, p)), scale(c, ddt(p))
-    mixtures = Dist(
-        ((gen_line_dist(rng, cfg), gen_scalar(rng, cfg)) for _ in range(2))
-    )
-    yield {"mix": mixtures, "d": step.d}, "commutes with mixing", *_mixing(ddt, mixtures)
+    yield from _linear(ddt, P, Q, c)
+    yield "commutes with mixing", *_mixing(ddt, mix)
+
+
+def _balanced(rng, cfg, sr, drawn) -> Dist:
+    """A distribution with zero total on every translation orbit of the
+    drawn step, i.e. one that is guaranteed to have a primitive."""
+    d, pool = drawn["step"].d, line(cfg).elements
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        x0 = rng.choice(pool)
+        block = []
+        for _ in range(rng.randint(1, 3)):
+            w = gen_scalar(rng, cfg)
+            block.append((x0 + rng.randint(-4, 4) * d, w))
+        block.append((x0 + rng.randint(-4, 4) * d, -sum(w for _, w in block)))
+        terms += block
+    return Dist(terms)
 
 
 @law("integration",
      "primitive and derivative are mutually inverse where primitives exist")
-def _integration(rng, cfg):
-    step = gen_step(rng)
-    p = gen_line_dist(rng, cfg)
-    yield {"P": p, "d": step.d}, "primitive(P') = P", primitive(derivative(p, step), step), p
-    q = gen_balanced_line_dist(rng, cfg, step)
-    yield {"Q": q, "d": step.d}, "(primitive(Q))' = Q", derivative(primitive(q, step), step), q
-    yield {"d": step.d}, "primitive(0) = 0", primitive(Dist.empty(), step), Dist.empty()
+def _integration(step=choice(STEPS), P=dist(line), Q=_balanced):
+    yield "primitive(P') = P", primitive(derivative(P, step), step), P
+    yield "(primitive(Q))' = Q", derivative(primitive(Q, step), step), Q
+    yield "primitive(0) = 0", primitive(Dist.empty(), step), Dist.empty()
+
+
+def _interval_end(rng, cfg, sr, drawn) -> Fraction:
+    """A point on the drawn step's grid through a, at most 5 steps away."""
+    return drawn["a"] + rng.randint(-5, 5) * drawn["step"].d
 
 
 @law("interval_laws",
      "interval(a,b)' = dirac(b) - dirac(a), its total is b - a, and it "
      "matches the primitive construction")
-def _interval_laws(rng, cfg):
-    step = gen_step(rng)
-    a = gen_rational_point(rng, cfg)
-    b = a + rng.randint(-5, 5) * step.d
+def _interval_laws(step=choice(STEPS), a=point(line), b=_interval_end):
     comb = interval(a, b, step)
     endpoints = dist_sub(dirac(b), dirac(a))
-    ins = {"a": a, "b": b, "d": step.d}
-    yield ins, "defining equation", derivative(comb, step), endpoints
-    yield ins, "total", total(comb), b - a
-    yield ins, "primitive route", primitive(endpoints, step), comb
-    yield ins, "[a,a] = 0", interval(a, a, step), Dist.empty()
+    yield "defining equation", derivative(comb, step), endpoints
+    yield "total", total(comb), b - a
+    yield "primitive route", primitive(endpoints, step), comb
+    yield "[a,a] = 0", interval(a, a, step), Dist.empty()
 
 
 @law("interval_powers",
@@ -996,18 +881,15 @@ def _interval_laws(rng, cfg):
      "because the comb realizing an interval is left-closed and hence "
      "not symmetric",
      deterministic=True)
-def _interval_powers(rng, cfg):
-    a, d = Fraction(1, 2), Fraction(1, 4)
+def _interval_powers(a=const(Fraction(1, 2)), d=const(Fraction(1, 4))):
     unit = interval(-a, a, Step(d))
     wide = interval(Fraction(-1), Fraction(1), Step(Fraction(1, 2)))
-    yield {"a": a, "d": d}, "E([-a,a]) = -a*d", expectation(unit), -a * d
+    yield "E([-a,a]) = -a*d", expectation(unit), -a * d
     for k in range(6):
         pk = convolution_power(unit, k)
-        yield {"a": a, "d": d, "k": k}, "total of [-a,a]^*k", total(pk), Fraction(1)
-        yield ({"a": a, "d": d, "k": k}, "expectation of [-a,a]^*k", expectation(pk),
-               k * expectation(unit))
-        yield ({"k": k}, "total of [-1,1]^*k", total(convolution_power(wide, k)),
-               Fraction(2) ** k)
+        yield f"total of [-a,a]^*{k}", total(pk), Fraction(1)
+        yield f"expectation of [-a,a]^*{k}", expectation(pk), k * expectation(unit)
+        yield f"total of [-1,1]^*{k}", total(convolution_power(wide, k)), Fraction(2) ** k
 
 
 @law("leibniz_residual",
@@ -1015,87 +897,73 @@ def _interval_powers(rng, cfg):
      "(phi(x+d)-phi(x)) (dirac(x+d)-dirac(x))/d on point masses, is linear "
      "in P, and vanishes for constant phi; the two-sided product rule "
      "itself needs nilpotent steps and is deliberately not asserted")
-def _leibniz_residual(rng, cfg):
-    step = gen_step(rng)
+def _leibniz_residual(step=choice(STEPS), x=point(line), phi=poly, P=dist(line),
+                      Q=dist(line), c=scalar()):
     d = step.d
-    x = gen_rational_point(rng, cfg)
-    phi = gen_poly_fn(rng, cfg)
-    closed = scale(
-        (phi(x + d) - phi(x)) / d, dist_sub(dirac(x + d), dirac(x))
-    )
-    yield ({"x": x, "d": d, "phi": phi}, "closed form on point masses",
-           leibniz_residual(dirac(x), phi, step), closed)
-    p, q = gen_line_dist(rng, cfg), gen_line_dist(rng, cfg)
-    res = lambda r: leibniz_residual(r, phi, step)
-    c = gen_scalar(rng, cfg)
-    ins = {"P": p, "Q": q, "c": c, "d": d, "phi": phi}
-    yield ins, "additive in P", res(dist_add(p, q)), dist_add(res(p), res(q))
-    yield ins, "homogeneous in P", res(scale(c, p)), scale(c, res(p))
-    const = lambda _: Fraction(5, 3)
-    yield {"P": p, "d": d}, "constant phi", leibniz_residual(p, const, step), Dist.empty()
+    closed = scale((phi(x + d) - phi(x)) / d, dist_sub(dirac(x + d), dirac(x)))
+    yield "closed form on point masses", leibniz_residual(dirac(x), phi, step), closed
+    yield from _linear(lambda r: leibniz_residual(r, phi, step), P, Q, c, "residual ")
+    const_phi = lambda _: Fraction(5, 3)
+    yield "constant phi", leibniz_residual(P, const_phi, step), Dist.empty()
 
 
 # -- probability laws --------------------------------------------------------------
 
 
+def _event(rng, cfg, sr, drawn):
+    """A random 0/1 table (an event) of nonzero probability under P, or
+    None when 50 tries all miss (astronomically unlikely)."""
+    sa = space_a(cfg)
+    for _ in range(50):
+        event = FunTable(sa, {x: Fraction(rng.choice((0, 1))) for x in sa})
+        if pair(drawn["P"], event) != 0:
+            return event
+    return None
+
+
 @law("conditioning",
      "<P|phi, psi> <P, phi> = <P, phi psi>; conditioning keeps total 1 "
      "and conditioning on the sure event changes nothing")
-def _conditioning(rng, cfg):
-    sa = space_a(cfg)
-    p = gen_prob_dist(rng, cfg, sa)
-    for _ in range(50):
-        event = gen_event(rng, sa)
-        if pair(p, event) != 0:
-            break
-    else:
-        return  # astronomically unlikely; skip this draw
-    psi = gen_scalar_table(rng, cfg, sa)
-    conditioned = condition(p, event)
-    ins = {"P": p, "event": event, "psi": psi}
-    yield (ins, "conditional pairing identity", pair(conditioned, psi) * pair(p, event),
-           pair(p, fn_pointwise_mul(event, psi)))
-    yield ins, "total 1", total(conditioned), Fraction(1)
-    yield ins, "sure event", condition(p, constant_one()), p
+def _conditioning(P=prob(space_a), event=_event, psi=scalar_table(space_a)):
+    if event is None:
+        return
+    conditioned = condition(P, event)
+    yield ("conditional pairing identity", pair(conditioned, psi) * pair(P, event),
+           pair(P, fn_pointwise_mul(event, psi)))
+    yield "total 1", total(conditioned), Fraction(1)
+    yield "sure event", condition(P, constant_one()), P
 
 
 @law("marginals_tensor",
      "the marginals of a tensor of total-1 distributions are the factors, "
      "and tensors are independent")
-def _marginals_tensor(rng, cfg):
-    p = gen_prob_dist(rng, cfg, space_a(cfg))
-    q = gen_prob_dist(rng, cfg, space_b(cfg))
-    j = tensor(p, q)
-    yield {"P": p, "Q": q}, "marginals recover factors", marginals(j), (p, q)
-    yield {"P": p, "Q": q}, "tensor joints are independent", is_independent(j), True
+def _marginals_tensor(P=prob(space_a), Q=prob(space_b)):
+    j = tensor(P, Q)
+    yield "marginals recover factors", marginals(j), (P, Q)
+    yield "tensor joints are independent", is_independent(j), True
     correlated = Dist({(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
-    yield {"J": correlated}, "correlated joint detected", is_independent(correlated), False
+    yield "correlated joint detected", is_independent(correlated), False
 
 
 @law("rv_sum",
      "the distribution of a coordinate sum pushes the joint along +; its "
      "expectation splits even under dependence; tensor joints convolve")
-def _rv_sum(rng, cfg):
-    j = gen_prob_pair_dist(rng, cfg)
-    m1, m2 = marginals(j)
-    s = rv_sum(j)
-    yield {"J": j}, "E(X+Y) = E(X) + E(Y)", expectation(s), expectation(m1) + expectation(m2)
-    yield {"J": j}, "mass preserved", total(s), total(j)
-    p, q = gen_prob_line_dist(rng, cfg), gen_prob_line_dist(rng, cfg)
-    yield ({"P": p, "Q": q}, "independent sum = convolution",
-           rv_sum(tensor(p, q)), convolve(p, q))
+def _rv_sum(J=joint, P=prob(line), Q=prob(line)):
+    m1, m2 = marginals(J)
+    s = rv_sum(J)
+    yield "E(X+Y) = E(X) + E(Y)", expectation(s), expectation(m1) + expectation(m2)
+    yield "mass preserved", total(s), total(J)
+    yield "independent sum = convolution", rv_sum(tensor(P, Q)), convolve(P, Q)
 
 
 @law("probability_closure",
      "total-1 distributions are closed under tensor and convolution but "
      "not under scaling")
-def _probability_closure(rng, cfg):
-    p, q = gen_prob_line_dist(rng, cfg), gen_prob_line_dist(rng, cfg)
-    ins = {"P": p, "Q": q}
-    yield ins, "tensor stays total-1", is_probability(tensor(p, q)), True
-    yield ins, "convolution stays total-1", is_probability(convolve(p, q)), True
-    yield ins, "scaling leaves", is_probability(scale(2, p)), False
-    yield ins, "normalize lands in total-1", is_probability(normalize(scale(7, p))), True
+def _probability_closure(P=prob(line), Q=prob(line)):
+    yield "tensor stays total-1", is_probability(tensor(P, Q)), True
+    yield "convolution stays total-1", is_probability(convolve(P, Q)), True
+    yield "scaling leaves", is_probability(scale(2, P)), False
+    yield "normalize lands in total-1", is_probability(normalize(scale(7, P))), True
 
 
 # -- quantity laws ------------------------------------------------------------------
@@ -1106,29 +974,19 @@ def _probability_closure(rng, cfg):
      "tagging is invertible, unit conversion preserves the pure value, "
      "equal units give equal pure values, and conversion to pure commutes "
      "with pushforward, addition and scaling")
-def _unit_determined(rng, cfg):
-    sa, sb = space_a(cfg), space_b(cfg)
-    p = gen_dist(rng, cfg, sa)
-    u = gen_scalar(rng, cfg)
-    u2 = gen_scalar(rng, cfg)
-    m = from_pure(p, u)
-    ins = {"P": p, "u": u, "u2": u2}
-    yield ins, "to_pure inverts from_pure", to_pure(m), p
-    yield ins, "rescaling preserves the pure value", to_pure(rescale_unit(m, u2)), p
-    yield ins, "same unit, same tagging", rescale_unit(m, u), m
-    body = gen_dist(rng, cfg, sa, min_support=1)
-    pure = lambda unit, d: to_pure(UnitTagged(unit, d))
+def _unit_determined(P=dist(space_a), u=scalar(), u2=scalar(),
+                     body=dist(space_a, min_support=1), f=table(space_a, space_b),
+                     c=scalar(), Q=dist(space_a)):
+    m = from_pure(P, u)
+    yield "to_pure inverts from_pure", to_pure(m), P
+    yield "rescaling preserves the pure value", to_pure(rescale_unit(m, u2)), P
+    yield "same unit, same tagging", rescale_unit(m, u), m
+    pure = lambda d: to_pure(UnitTagged(u, d))
     if u != u2:
-        yield ({"body": body, "u": u, "u2": u2}, "distinct units give distinct pure values",
-               pure(u, body) == pure(u2, body), False)
-    f = gen_map(rng, sa, sb)
-    c = gen_scalar(rng, cfg)
-    q = gen_dist(rng, cfg, sa)
-    ins = {"body": body, "u": u, "c": c, "f": f, "Q": q}
-    yield (ins, "commutes with pushforward", pushforward(f, pure(u, body)),
-           pure(u, pushforward(f, body)))
-    yield ins, "commutes with +", pure(u, dist_add(body, q)), dist_add(pure(u, body), pure(u, q))
-    yield ins, "commutes with scale", pure(u, scale(c, body)), scale(c, pure(u, body))
+        yield ("distinct units give distinct pure values",
+               pure(body) == to_pure(UnitTagged(u2, body)), False)
+    yield "commutes with pushforward", pushforward(f, pure(body)), pure(pushforward(f, body))
+    yield from _linear(pure, body, Q, c, "to_pure ")
 
 
 # -- genericity over the boolean rig -------------------------------------------------
@@ -1136,10 +994,12 @@ def _unit_determined(rng, cfg):
 
 @law("bool_monad_functor",
      "the monad and functor laws hold over the boolean rig (the "
-     "possibility/powerset reading of distributions)")
-def _bool_monad_functor(rng, cfg):
-    yield from _monad_laws(rng, cfg, BOOLEANS)
-    yield from _functor_laws(rng, cfg, BOOLEANS)
+     "possibility/powerset reading of distributions)",
+     semiring=BOOLEANS)
+def _bool_monad_functor(P=dist(space_a), PPP=nested(space_a, depth=3), P2=dist(space_a),
+                        f=table(space_a, space_b), g=table(space_b, space_c)):
+    yield from _monad_laws(P, PPP)
+    yield from _functor_laws(P2, f, g)
 
 
-law("bool_fubini", "Fubini holds over the boolean rig")(partial(_fubini, semiring=BOOLEANS))
+law("bool_fubini", "Fubini holds over the boolean rig", semiring=BOOLEANS)(_fubini)

@@ -27,8 +27,7 @@ class UnitTagged(FrozenValue):
             raise UnitError("the unit of a quantity must be nonzero")
         if sr.inv is None:
             raise UnitError(f"{sr.name} scalars cannot serve as units (no division)")
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "body", body)
+        super().__init__(unit, body)
 
 
 def to_pure(m: UnitTagged) -> Dist:
@@ -38,11 +37,8 @@ def to_pure(m: UnitTagged) -> Dist:
 
 def from_pure(p: Dist, unit) -> UnitTagged:
     """Express a pure distribution in the given unit."""
-    sr = p.semiring
-    unit = sr.coerce(unit)
-    if unit == sr.zero:
-        raise UnitError("the unit of a quantity must be nonzero")
-    return UnitTagged(unit, scale(sr.inv(unit), p))
+    unit = UnitTagged(unit, p).unit  # a UnitError for a zero unit or a rig without inverses
+    return UnitTagged(unit, scale(p.semiring.inv(unit), p))
 
 
 def rescale_unit(m: UnitTagged, new_unit) -> UnitTagged:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, log10
 
 from .errors import ParseError
 
@@ -40,12 +40,18 @@ def format_rational(value: Fraction) -> str:
 
     format_rational and parse_rational are mutually inverse bit-exactly.
     The value goes through the rational `coerce`, so a float is a
-    TypeError rather than a binary fraction on the wire.
+    TypeError rather than a binary fraction on the wire. A numerator or
+    denominator past CPython's int-digit limit is a ParseError, as it is
+    for parse_rational.
     """
     value = _coerce_rational(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return str(value)  # a Fraction's str is p/q, or p when q is 1
+    except ValueError:  # the only one str raises here: too many digits
+        n = max(abs(value.numerator), value.denominator)
+        k = int(log10(n)) + 1  # float log10: at most one off
+        k += (n >= 10 ** k) - (n < 10 ** (k - 1))
+        raise ParseError(f"rational with too many digits to write: {k} digits") from None
 
 
 def _coerce_rational(value) -> Fraction:

@@ -395,3 +395,13 @@ def test_oversized_rational_exits_one(capsys, tmp_path):
         code, out, err = run_cli(capsys, ["moments", "--in", str(path)])
         assert code == 1 and out == ""
         assert err.startswith("error:") and "digits" in err
+
+
+def test_oversized_output_exits_one(capsys, tmp_path):
+    # each 2,200-digit weight decodes; their 4,399-digit product cannot be written
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"points": [{"x": "0", "w": "1" * 2200}]}))
+    code, out, err = run_cli(capsys, ["conv", "--in", str(path), "--in", str(path)])
+    assert code == 1 and out == ""
+    assert err == "error: rational with too many digits to write: 4399 digits\n"
+    assert "set_int_max_str_digits" not in err

@@ -10,7 +10,10 @@ from finmeas import (
     BOOLEANS, RATIONALS, Dist, GenConfig, SelectionError, run_law, run_suite, tensor, total,
 )
 from finmeas import laws
-from finmeas.laws import LAWS, Law, gen_dist, gen_scalar, law, space_a, space_b
+from finmeas.laws import (
+    LAWS, Law, const, dist, gen_dist, gen_scalar, law, scalar, space_a, space_b,
+)
+from finmeas.line import AffineMap
 
 
 def small_cfg(**kw):
@@ -106,16 +109,69 @@ def test_law_names_register_once():
 
 
 def test_runner_stops_at_the_first_mismatch_and_formats_it(monkeypatch):
-    def case(rng, cfg):
-        inputs = {"a": Fraction(1, 2), "x": "u"}
-        yield inputs, "holds", Fraction(1), Fraction(1)
-        yield inputs, "a = x", Fraction(1, 2), "u"
+    def probe(a=const(Fraction(1, 2)), x=const("u")):
+        yield "holds", Fraction(1), Fraction(1)
+        yield "a = x", a, x
         raise AssertionError("the runner went on after a mismatch")
 
-    monkeypatch.setitem(LAWS, "probe", Law("probe", "a probe", case))
+    monkeypatch.setitem(LAWS, "probe", Law("probe", "a probe", probe))
     report = run_law("probe", small_cfg())
     assert (report.passed, report.cases_run) == (False, 1)
     assert report.counterexample == "a=1/2, x='u'; a = x: Fraction(1, 2) != 'u'"
+
+
+def test_counterexample_lists_every_drawn_input_in_draw_order(monkeypatch):
+    def probe(P=dist(space_a), c=scalar(), Q=dist(space_b)):
+        yield "P = c", P, c
+
+    monkeypatch.setitem(LAWS, "probe", Law("probe", "a probe", probe))
+    cfg = small_cfg()
+    drawn = LAWS["probe"].draw(random.Random(f"{cfg.seed}:probe"), cfg)
+    report = run_law("probe", cfg)
+    p, c, q = drawn.values()
+    assert report.counterexample == f"P={p!r}, c={c}, Q={q!r}; P = c: {p!r} != {c!r}"
+
+
+def test_a_law_parameter_without_a_draw_spec_is_refused():
+    def no_default(P, Q=dist(space_a)):
+        yield "P = Q", P, Q
+
+    def keyword_only(P=dist(space_a), *, Q=dist(space_b)):
+        yield "P = Q", P, Q
+
+    for body in (no_default, keyword_only):
+        with pytest.raises(TypeError, match="draw spec"):
+            Law("probe", "a probe", body)
+
+
+def test_no_law_body_takes_rng_or_cfg():
+    for name, entry in LAWS.items():
+        code = entry.body.__code__
+        params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+        assert not {"rng", "cfg"} & set(params), name
+        assert [k for k, _ in entry.draws] == list(params), name
+
+
+def test_drawn_inputs_print_without_addresses():
+    # every input a counterexample can show has a repr that names its value
+    for seed in range(3):
+        cfg = GenConfig(seed=seed, cases=20)
+        for name, entry in LAWS.items():
+            rng = random.Random(f"{seed}:{name}")
+            for _ in range(1 if entry.deterministic else cfg.cases):
+                for key, value in entry.draw(rng, cfg).items():
+                    assert " at 0x" not in repr(value), (seed, name, key)
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda f, x: f.slope * x - f.offset,
+    lambda f, x: f.slope + x,
+])
+def test_affine_expectation_pins_what_an_affine_map_means(monkeypatch, mutant):
+    # both mutants are still affine, so only the equations on f(0) and
+    # f(1) - f(0) tell them from slope*x + offset
+    monkeypatch.setattr(AffineMap, "__call__", mutant)
+    assert run_law("affine_expectation", GenConfig(seed=0, cases=20)).passed is False
 
 
 def _drop_all_mass(p, q):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from finmeas import (
+    BOOLEANS,
     Dist,
     UnitError,
     UnitTagged,
@@ -40,6 +41,12 @@ def test_zero_unit_rejected():
         UnitTagged(Fraction(0), dirac("a"))
     with pytest.raises(UnitError):
         from_pure(dirac("a"), 0)
+
+
+def test_boolean_unit_rejected():
+    # the boolean rig has no inverses, so no boolean scalar can be a unit
+    with pytest.raises(UnitError, match="cannot serve as units"):
+        from_pure(Dist({"a": True}, BOOLEANS), True)
 
 
 @given(atom_dists(max_size=2), small_fractions().filter(lambda u: u != 0))

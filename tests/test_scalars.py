@@ -41,6 +41,20 @@ def test_parse_rejects_oversized_literals(big):
         parse_rational(big)
 
 
+@pytest.mark.parametrize(
+    "value", [Fraction(10 ** 4300), Fraction(-7, 10 ** 4300)], ids=["numerator", "denominator"]
+)
+def test_format_rejects_values_past_the_digit_limit(value):
+    # the mirror of parse_rational: a ParseError with the digit count, not
+    # CPython's bare ValueError about sys.set_int_max_str_digits
+    with pytest.raises(ParseError, match=r"too many digits to write: 4301 digits\Z"):
+        format_rational(value)
+
+
+def test_format_writes_values_up_to_the_digit_limit():
+    assert format_rational(Fraction(1, 10 ** 4299)) == "1/1" + "0" * 4299
+
+
 @given(small_fractions())
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q
