@@ -20,9 +20,14 @@ from .dist import (
     dist_add,
     dist_sub,
     flatten,
+    fn_action,
     linear_extend,
     pushforward,
     scale,
+    strength_left,
+    strength_right,
+    structure_map,
+    tensor,
     total,
 )
 from .errors import (
@@ -39,7 +44,6 @@ from .errors import (
 from .line import (
     AffineMap,
     Step,
-    affine_push,
     center_of_gravity,
     convolution_power,
     convolve,
@@ -59,7 +63,6 @@ from .pairing import (
     constant_one,
     density,
     eval_at_eta,
-    fn_action,
     fn_pointwise_mul,
     pair,
     semantics,
@@ -69,7 +72,6 @@ from .probability import (
     indicator,
     is_event_table,
     is_independent,
-    is_nonnegative,
     is_probability,
     marginals,
     normalize,
@@ -79,14 +81,9 @@ from .quantities import UnitTagged, from_pure, rescale_unit, to_pure
 from .scalars import BOOLEANS, RATIONALS, Semiring, format_rational, parse_rational
 from .strength import (
     cotensor_strength,
-    enumerate_tables,
     extend_1linear,
     extend_2linear,
     extend_bilinear,
-    strength_left,
-    strength_right,
-    structure_map,
-    tensor,
     tensor_iterated,
 )
 

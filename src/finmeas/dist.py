@@ -1,4 +1,4 @@
-"""Finite-support distributions and the monad structure on them.
+"""Finite-support distributions and every operation that reads their weights.
 
 A Dist is a finite map from support points to nonzero scalars of some
 exact semiring. Points live in a closed value universe: rationals,
@@ -15,10 +15,14 @@ colliding terms once, after the whole stream, with the semiring's n-ary
 `sum`, and drops the sums that are zero. Scalar sums (`total`, the
 scalar linear extension and so the pairing) call `sum` once too. Every
 other operation builds its result with `Dist._of`, which adopts its
-dict without a scan: negation, the biproduct and the line kernels
-cannot make a zero, `scale` and `fn_action` skip a zero factor, and
+dict without a scan: negation, the biproduct and the strengths cannot
+make a zero, `scale` and `fn_action` skip a zero factor, and `tensor`'s
 products of nonzero weights stay nonzero because a Semiring has no zero
-divisors.
+divisors. The weights dict `_w` is read only in this module: every
+operation that reads a Dist's stored weights, from the monad and the
+strengths to `structure_map`, lives here. Outside it, `_of` is called
+only by the line kernels `primitive` and `interval`, which cannot make a
+zero either, and by the law suite's `gen_dist`.
 
 Test functions: a test function is any callable on points, with scalar
 values unless it says otherwise. A FunTable's codomain is read off its
@@ -34,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
 
 from .errors import DomainError
-from .scalars import RATIONALS, FrozenValue, Semiring
+from .scalars import RATIONALS, FrozenValue, Semiring, _show_rational
 
 
 class _Tagged(FrozenValue):
@@ -126,7 +130,10 @@ class FunTable(FrozenValue):
         return (self.domain, self.values())
 
     def __repr__(self):
-        body = ", ".join(f"{x!r}: {v!r}" for x, v in self.items())
+        body = ", ".join(
+            f"{_show_rational(x, repr)}: {_show_rational(v, repr)}"
+            for x, v in self.items()
+        )
         return f"FunTable({{{body}}})"
 
 
@@ -241,7 +248,7 @@ class Dist(FrozenValue):
             return h
 
     def __repr__(self):
-        body = ", ".join(f"{_show_point(x)}: {c}" for x, c in self.items())
+        body = ", ".join(f"{_show_point(x)}: {_show_rational(c)}" for x, c in self.items())
         tag = "" if self.semiring is RATIONALS else f", {self.semiring.name}"
         return f"Dist({{{body}}}{tag})"
 
@@ -327,8 +334,8 @@ def _table_key(t: FunTable):
 
 
 _KINDS = {
-    Fraction: _Kind(0, _exact(Fraction, Fraction), _same, str),
-    int: _Kind(0, Fraction, _same, str),
+    Fraction: _Kind(0, _exact(Fraction, Fraction), _same, _show_rational),
+    int: _Kind(0, Fraction, _same, _show_rational),
     # str.__str__, not str(): a subclass may override __str__
     str: _Kind(1, _exact(str, str.__str__), _same, repr),
     tuple: _Kind(2, _pair, lambda x: (point_key(x[0]), point_key(x[1])), _show_pair),
@@ -448,6 +455,31 @@ def flatten(pp: Dist) -> Dist:
 
 def _is_dist(x) -> bool:
     return isinstance(x, Dist)
+
+
+# -- tensorial strengths -----------------------------------------------------
+
+
+def strength_left(x, q: Dist) -> Dist:
+    """Let the plain point x ride along on the left of the distribution q:
+    the distribution {(x, y): q(y)}."""
+    x = as_point(x)
+    return Dist._of({(x, y): c for y, c in q._w.items()}, q.semiring)
+
+
+def strength_right(p: Dist, y) -> Dist:
+    """Mirror of strength_left: {(x, y): p(x)} for a fixed right point y."""
+    y = as_point(y)
+    return Dist._of({(x, y): c for x, c in p._w.items()}, p.semiring)
+
+
+def tensor(p: Dist, q: Dist) -> Dist:
+    """Product distribution {(x, y): p(x)*q(y)} (the direct formula)."""
+    sr = _same_semiring(p, q)
+    mul, q_items = sr.mul, q._w.items()
+    return Dist._of(
+        {(x, y): mul(c, d) for x, c in p._w.items() for y, d in q_items}, sr
+    )
 
 
 def total(p: Dist):
@@ -583,6 +615,66 @@ def linear_extend(f, p: Dist):
         values.append((coerce(c), v))
     terms = [(y, mul(c, w)) for c, v in values for y, w in v._w.items()]
     return Dist._of(_accumulate({}, terms, vsr), vsr)
+
+
+def fn_action(p: Dist, phi) -> Dist:
+    """Reweight p pointwise by a scalar-valued function: {x: p(x)*phi(x)}.
+
+    Points where phi is zero drop out; the other products are nonzero
+    because a Semiring has no zero divisors.
+    """
+    sr = p.semiring
+    mul, coerce, zero = sr.mul, sr.coerce, sr.zero
+    w = {}
+    for x, c in p._w.items():
+        v = coerce(phi(x))
+        if v != zero:
+            w[x] = mul(c, v)
+    return Dist._of(w, sr)
+
+
+# -- module structure maps ----------------------------------------------------
+
+
+def structure_map(d: Dist, zero=None):
+    """Evaluate a distribution over module elements down to one element.
+
+    Dist-valued points mix by flatten; scalar points take the weighted
+    sum of the points themselves; function tables mix pointwise (the
+    canonical algebra on a function space). An empty distribution names
+    no module, so its result is the caller's `zero`.
+
+    The first point in point order names the module. An error for a
+    point outside it names the first such point in point order, and
+    only that error path sorts the support.
+    """
+    if d.is_empty():
+        if zero is None:
+            raise ValueError("structure_map of empty distribution needs zero=")
+        return zero
+    points = d._w
+    # the point table (`_KINDS`) ranks every other point before
+    # distributions, and distributions before tables
+    if all(isinstance(x, (Dist, FunTable)) for x in points):
+        if all(isinstance(x, FunTable) for x in points):
+            return _table_mixture(d)
+        return flatten(d)
+    sr = d.semiring
+    mul, coerce = sr.mul, sr.coerce
+    try:
+        return sr.sum([mul(c, coerce(x)) for x, c in points.items()])
+    except (TypeError, ValueError):
+        for x in d.support():
+            coerce(x)  # raises for the first bad point in point order
+        raise
+
+
+def _table_mixture(d: Dist) -> FunTable:
+    tables = iter(d._w)
+    domain = next(tables).domain
+    if any(t.domain != domain for t in tables):
+        raise DomainError("cannot mix tables over different domains")
+    return FunTable(domain, {x: linear_extend(lambda t: t(x), d) for x in domain})
 
 
 # -- biproduct structure ----------------------------------------------------

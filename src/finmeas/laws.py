@@ -18,7 +18,8 @@ stops at the first mismatch, which it reports as
     NAME=value, ...; description: lhs!r != rhs!r
 
 listing every drawn input in draw order, a Fraction by str and any other
-value by repr.
+value by repr. A rational past CPython's int-digit limit shows as its
+digit count, `<N-digit rational>`, so a report never fails to print.
 """
 
 from __future__ import annotations
@@ -38,9 +39,14 @@ from .dist import (
     dist_add,
     dist_sub,
     flatten,
+    fn_action,
     linear_extend,
     pushforward,
     scale,
+    strength_left,
+    strength_right,
+    structure_map,
+    tensor,
     total,
     zero_like,
 )
@@ -66,7 +72,6 @@ from .pairing import (
     constant_one,
     density,
     eval_at_eta,
-    fn_action,
     fn_pointwise_mul,
     pair,
     semantics,
@@ -80,7 +85,7 @@ from .probability import (
     rv_sum,
 )
 from .quantities import UnitTagged, from_pure, rescale_unit, to_pure
-from .scalars import BOOLEANS, RATIONALS, FrozenValue, Semiring
+from .scalars import BOOLEANS, RATIONALS, FrozenValue, Semiring, _show_rational
 from .strength import (
     cotensor_strength,
     extend_1linear,
@@ -88,10 +93,6 @@ from .strength import (
     extend_2linear,
     extend_2linear_via_strength,
     extend_bilinear,
-    strength_left,
-    strength_right,
-    structure_map,
-    tensor,
     tensor_iterated,
 )
 
@@ -379,11 +380,11 @@ def law(name: str, statement: str, semiring: Semiring = RATIONALS,
 
 def _counterexample(drawn: dict, desc: str, lhs, rhs) -> str:
     shown = ", ".join(
-        f"{k}={v}" if isinstance(v, Fraction) else f"{k}={v!r}"
+        f"{k}={_show_rational(v, str if isinstance(v, Fraction) else repr)}"
         for k, v in drawn.items()
     )
     head = f"{shown}; " if shown else ""
-    return f"{head}{desc}: {lhs!r} != {rhs!r}"
+    return f"{head}{desc}: {_show_rational(lhs, repr)} != {_show_rational(rhs, repr)}"
 
 
 def run_law(name: str, cfg: GenConfig) -> LawReport:

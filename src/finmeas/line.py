@@ -20,16 +20,17 @@ from .dist import (
     dirac,
     dist_sub,
     flatten,
+    fn_action,
     pushforward,
     scale,
     scale_value,
     sub_values,
+    tensor,
     total,
 )
 from .errors import DomainError, NoPrimitiveError, NormalizationError
-from .pairing import fn_action, pair
+from .pairing import pair
 from .scalars import RATIONALS, FrozenValue
-from .strength import tensor
 
 _rational = RATIONALS.coerce
 
@@ -118,10 +119,6 @@ def translate(p: Dist, a) -> Dist:
 def homothety(p: Dist, b) -> Dist:
     b = _rational(b)
     return pushforward(lambda x: b * x, _require_line(p))
-
-
-def affine_push(p: Dist, f: AffineMap) -> Dist:
-    return pushforward(f, _require_line(p))
 
 
 def center_of_gravity(p: Dist) -> Fraction:

@@ -1,8 +1,10 @@
-"""Integration pairing, the semantics functional, and the function action.
+"""Integration pairing, the semantics functional, and densities.
 
 The pairing <P, phi> integrates a test function against a distribution;
-everything else in this module (reweighting by a function, densities,
-conditioning support) is a view of that one weighted sum.
+everything else in this module (the semantics functional, its inverse at
+the unit, densities) is a view of that one weighted sum. Reweighting by
+a function is `dist.fn_action`. Nothing here reads a distribution's
+weights directly.
 """
 
 from __future__ import annotations
@@ -68,22 +70,6 @@ def eval_at_eta(functional: Functional) -> Dist:
     sr = functional.semiring
     eta = TestFn.dist_valued(lambda x: dirac(x, sr), sr)
     return functional(eta)
-
-
-def fn_action(p: Dist, phi) -> Dist:
-    """Reweight p pointwise by a scalar-valued function: {x: p(x)*phi(x)}.
-
-    Points where phi is zero drop out; the other products are nonzero
-    because a Semiring has no zero divisors.
-    """
-    sr = p.semiring
-    mul, coerce, zero = sr.mul, sr.coerce, sr.zero
-    w = {}
-    for x, c in p._w.items():
-        v = coerce(phi(x))
-        if v != zero:
-            w[x] = mul(c, v)
-    return Dist._of(w, sr)
 
 
 def density(q: Dist, p: Dist) -> FunTable:

@@ -1,28 +1,21 @@
 """The total-1 fragment: normalization, conditioning, joints, marginals.
 
 "Probability" here means total exactly 1; weights themselves may be any
-rationals, since the scalars carry no order. A convenience predicate for
-nonnegative weights is provided, but no law depends on it.
+rationals, since the scalars carry no order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .dist import Dist, FunTable, _require_points, pushforward, scale, total
+from .dist import Dist, FunTable, _require_points, fn_action, pushforward, scale, tensor, total
 from .errors import ConditioningError, NormalizationError
-from .pairing import fn_action, pair
+from .pairing import pair
 from .scalars import RATIONALS, Semiring
-from .strength import tensor
 
 
 def is_probability(p: Dist) -> bool:
     return total(p) == p.semiring.one
-
-
-def is_nonnegative(p: Dist) -> bool:
-    """Convenience only: True when all weights are >= 0."""
-    return all(c >= 0 for _, c in p.items())
 
 
 def normalize(p: Dist) -> Dist:

@@ -48,10 +48,29 @@ def format_rational(value: Fraction) -> str:
     try:
         return str(value)  # a Fraction's str is p/q, or p when q is 1
     except ValueError:  # the only one str raises here: too many digits
-        n = max(abs(value.numerator), value.denominator)
-        k = int(log10(n)) + 1  # float log10: at most one off
-        k += (n >= 10 ** k) - (n < 10 ** (k - 1))
-        raise ParseError(f"rational with too many digits to write: {k} digits") from None
+        raise ParseError(
+            f"rational with too many digits to write: {_digits(value)} digits"
+        ) from None
+
+
+def _show_rational(value, show=str) -> str:
+    """`show(value)` for a display (a repr or an error message), where a
+    rational past CPython's int-digit limit shows as `<N-digit rational>`
+    instead of raising. Any other value's error propagates."""
+    try:
+        return show(value)
+    except ValueError:
+        if not isinstance(value, (int, Fraction)):
+            raise
+        return f"<{_digits(value)}-digit rational>"
+
+
+def _digits(value) -> int:
+    """The larger decimal digit count of a rational's numerator and
+    denominator, computed without writing the number."""
+    n = max(abs(value.numerator), value.denominator)
+    k = int(log10(n)) + 1  # float log10: at most one off
+    return k + (n >= 10 ** k) - (n < 10 ** (k - 1))
 
 
 def _coerce_rational(value) -> Fraction:
@@ -119,7 +138,9 @@ class FrozenValue:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(
+            f"{f}={_show_rational(getattr(self, f), repr)}" for f in self._fields
+        )
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

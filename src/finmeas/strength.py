@@ -1,19 +1,19 @@
-"""Strengths, the two Fubini tensor maps, and partial-linear extensions.
+"""The second Fubini tensor map and the partial-linear extensions.
 
 Commutativity of the mixture monad is the statement that the two ways of
-tensoring distributions agree. `tensor` uses the direct product formula;
-`tensor_iterated` rebuilds the product through nested mixtures in the
-opposite extension order, so their equality is checked, not assumed.
+tensoring distributions agree. `dist.tensor` uses the direct product
+formula; `tensor_iterated` rebuilds the product through nested mixtures
+in the opposite extension order, so their equality is checked, not
+assumed. The `extend_*` builders extend a map of two points linearly in
+one or both slots, and their `_via_strength` twins build the same
+extensions through the strengths and the module structure map. Nothing
+here reads a distribution's weights directly.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from .dist import (
     Dist,
-    FiniteSpace,
-    FunTable,
     TestFn,
     _same_semiring,
     as_point,
@@ -21,48 +21,10 @@ from .dist import (
     flatten,
     linear_extend,
     pushforward,
+    strength_left,
+    strength_right,
+    structure_map,
 )
-from .errors import DomainError
-
-
-def enumerate_tables(domain: FiniteSpace, codomain: FiniteSpace, limit: int | None = 64):
-    """All functions domain -> codomain as FunTables, in a fixed order.
-
-    Raises ValueError past `limit` functions; exhaustive enumeration is
-    only meant for small spaces.
-    """
-    count = len(codomain) ** len(domain) if len(domain) else 1
-    if limit is not None and count > limit:
-        raise ValueError(f"{count} functions exceed the enumeration limit {limit}")
-    tables = []
-    for values in product(codomain.elements, repeat=len(domain)):
-        tables.append(FunTable(domain, dict(zip(domain.elements, values))))
-    return tables
-
-
-# -- tensorial strengths -----------------------------------------------------
-
-
-def strength_left(x, q: Dist) -> Dist:
-    """Let the plain point x ride along on the left of the distribution q:
-    the distribution {(x, y): q(y)}."""
-    x = as_point(x)
-    return Dist._of({(x, y): c for y, c in q._w.items()}, q.semiring)
-
-
-def strength_right(p: Dist, y) -> Dist:
-    """Mirror of strength_left: {(x, y): p(x)} for a fixed right point y."""
-    y = as_point(y)
-    return Dist._of({(x, y): c for x, c in p._w.items()}, p.semiring)
-
-
-def tensor(p: Dist, q: Dist) -> Dist:
-    """Product distribution {(x, y): p(x)*q(y)} (the direct formula)."""
-    sr = _same_semiring(p, q)
-    mul, q_items = sr.mul, q._w.items()
-    return Dist._of(
-        {(x, y): mul(c, d) for x, c in p._w.items() for y, d in q_items}, sr
-    )
 
 
 def tensor_iterated(p: Dist, q: Dist) -> Dist:
@@ -83,50 +45,6 @@ def cotensor_strength(pf: Dist, x):
     the image distribution of the tables' values at x."""
     x = as_point(x)
     return pushforward(lambda table: table(x), pf)
-
-
-# -- module structure maps ----------------------------------------------------
-
-
-def structure_map(d: Dist, zero=None):
-    """Evaluate a distribution over module elements down to one element.
-
-    Dist-valued points mix by flatten; scalar points take the weighted
-    sum of the points themselves; function tables mix pointwise (the
-    canonical algebra on a function space). An empty distribution names
-    no module, so its result is the caller's `zero`.
-
-    The first point in point order names the module. An error for a
-    point outside it names the first such point in point order, and
-    only that error path sorts the support.
-    """
-    if d.is_empty():
-        if zero is None:
-            raise ValueError("structure_map of empty distribution needs zero=")
-        return zero
-    points = d._w
-    # the point table (`dist._KINDS`) ranks every other point before
-    # distributions, and distributions before tables
-    if all(isinstance(x, (Dist, FunTable)) for x in points):
-        if all(isinstance(x, FunTable) for x in points):
-            return _table_mixture(d)
-        return flatten(d)
-    sr = d.semiring
-    mul, coerce = sr.mul, sr.coerce
-    try:
-        return sr.sum([mul(c, coerce(x)) for x, c in points.items()])
-    except (TypeError, ValueError):
-        for x in d.support():
-            coerce(x)  # raises for the first bad point in point order
-        raise
-
-
-def _table_mixture(d: Dist) -> FunTable:
-    tables = iter(d._w)
-    domain = next(tables).domain
-    if any(t.domain != domain for t in tables):
-        raise DomainError("cannot mix tables over different domains")
-    return FunTable(domain, {x: linear_extend(lambda t: t(x), d) for x in domain})
 
 
 # -- partial-linear extensions ----------------------------------------------

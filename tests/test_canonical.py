@@ -7,14 +7,17 @@ weight, and carry rationals only as exact `Fraction`s. Floats must
 still be refused at every public entry point.
 """
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finmeas
 from finmeas import (
     BOOLEANS,
     RATIONALS,
@@ -43,8 +46,7 @@ from finmeas import (
     scale,
     translate,
 )
-from finmeas.dist import point_key
-from finmeas.strength import FunTable, strength_left, strength_right, tensor
+from finmeas.dist import FunTable, point_key, strength_left, strength_right, tensor
 
 from .conftest import (
     atom_dists,
@@ -263,3 +265,19 @@ def test_space_and_table_copy_and_pickle():
     table = FunTable(_SPACE, {"a": Dist({1: 1}), "b": Fraction(2)})
     for value in (_SPACE, table):
         assert all(twin == value for twin in _round_trips(value))
+
+
+def _attribute_users(attr):
+    """The modules of the package whose source reads `.<attr>` anywhere."""
+    package = Path(finmeas.__file__).parent
+    return {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    }
+
+
+def test_only_dist_reads_the_weights_and_few_modules_trust_them():
+    assert _attribute_users("_w") == {"dist.py"}
+    assert _attribute_users("_of") == {"dist.py", "line.py", "laws.py"}

@@ -120,6 +120,20 @@ def test_runner_stops_at_the_first_mismatch_and_formats_it(monkeypatch):
     assert report.counterexample == "a=1/2, x='u'; a = x: Fraction(1, 2) != 'u'"
 
 
+def test_counterexample_names_an_oversized_rational_by_its_digit_count(monkeypatch):
+    huge = Fraction(1, 10**4400)
+
+    def probe(a=const(huge), x=const("u")):
+        yield "a = {x: a}", a, Dist({x: a})
+
+    monkeypatch.setitem(LAWS, "probe", Law("probe", "a probe", probe))
+    report = run_law("probe", small_cfg())
+    shown = "<4401-digit rational>"
+    assert report.counterexample == (
+        f"a={shown}, x='u'; a = {{x: a}}: {shown} != Dist({{'u': {shown}}})"
+    )
+
+
 def test_counterexample_lists_every_drawn_input_in_draw_order(monkeypatch):
     def probe(P=dist(space_a), c=scalar(), Q=dist(space_b)):
         yield "P = c", P, c

@@ -27,6 +27,7 @@ from finmeas import (
     moment,
     pair,
     primitive,
+    pushforward,
     total,
     translate,
 )
@@ -101,9 +102,7 @@ def test_homothety_on_dirac():
 def test_affine_expectation_total_one():
     p = Dist({0: HALF, 2: HALF})
     f = AffineMap(Fraction(3), Fraction(-1))
-    from finmeas import affine_push
-
-    assert expectation(affine_push(p, f)) == f(expectation(p))
+    assert expectation(pushforward(f, p)) == f(expectation(p))
 
 
 def test_center_of_gravity_by_hand():
@@ -114,9 +113,7 @@ def test_center_of_gravity_by_hand():
 def test_center_of_gravity_equivariance():
     p = Dist({0: 1, 1: 2, 3: -1})  # total 2
     f = AffineMap(HALF, Fraction(7))
-    from finmeas import affine_push
-
-    assert center_of_gravity(affine_push(p, f)) == f(center_of_gravity(p))
+    assert center_of_gravity(pushforward(f, p)) == f(center_of_gravity(p))
 
 
 def test_center_of_gravity_needs_mass():

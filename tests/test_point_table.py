@@ -14,7 +14,9 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finmeas import BOOLEANS, RATIONALS, Dist, FunTable, Left, ParseError, Right
+from finmeas import (
+    BOOLEANS, RATIONALS, Dist, FiniteSpace, FunTable, Left, ParseError, Right,
+)
 from finmeas.dist import as_point, point_key
 from finmeas.jsonio import point_from_json, point_to_json
 from finmeas.scalars import RATIONAL_RE, format_rational
@@ -53,7 +55,7 @@ def old_as_point(x):
 
 
 def old_items(p):
-    return tuple(sorted(p._w.items(), key=lambda it: old_point_key(it[0])))
+    return tuple(sorted(p.items(), key=lambda it: old_point_key(it[0])))
 
 
 def old_point_key(x):
@@ -279,3 +281,26 @@ def test_points_outside_the_universe_keep_their_errors():
     assert _outcome(as_point, 0.5) == (TypeError, floats)
     triple = "only pairs (2-tuples) are points"
     assert _outcome(as_point, (1, 2, 3)) == (TypeError, triple)
+
+
+# -- rationals past the int-digit limit ------------------------------------
+
+HUGE = Fraction(10**4400)  # 4,401 digits, past CPython's 4,300
+
+
+def test_displays_name_an_oversized_rational_by_its_digit_count():
+    shown = "<4401-digit rational>"
+    assert repr(Dist({Fraction(0): HUGE})) == f"Dist({{0: {shown}}})"
+    assert repr(Dist({HUGE: 1})) == f"Dist({{{shown}: 1}})"
+    assert repr(Dist({(HUGE, "a"): 1})) == f"Dist({{({shown}, 'a'): 1}})"
+    space = FiniteSpace(["a"])
+    assert repr(FunTable(space, {"a": HUGE})) == f"FunTable({{'a': {shown}}})"
+    assert repr(Left(Fraction(1, 10**4400))) == f"Left(value={shown})"
+
+
+def test_displays_write_rationals_up_to_the_digit_limit_in_full():
+    edge = Fraction(-(10**4299), 7)  # 4,300 digits
+    assert repr(Dist({"a": edge})) == f"Dist({{'a': {edge.numerator}/7}})"
+    assert repr(FunTable(FiniteSpace(["a"]), {"a": edge})) == (
+        f"FunTable({{'a': Fraction({edge.numerator}, 7)}})"
+    )

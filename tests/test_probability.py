@@ -18,7 +18,6 @@ from finmeas import (
     indicator,
     is_event_table,
     is_independent,
-    is_nonnegative,
     is_probability,
     marginals,
     normalize,
@@ -137,7 +136,5 @@ def test_total_one_not_closed_under_scaling(d6):
     assert not is_probability(scale(2, d6))
 
 
-def test_nonnegativity_flag(d6):
-    assert is_nonnegative(d6)
-    assert not is_nonnegative(Dist({0: Fraction(3, 2), 1: Fraction(-1, 2)}))
+def test_negative_weights_can_total_one():
     assert is_probability(Dist({0: Fraction(3, 2), 1: Fraction(-1, 2)}))

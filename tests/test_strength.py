@@ -15,7 +15,6 @@ from finmeas import (
     TestFn,
     cotensor_strength,
     dirac,
-    enumerate_tables,
     extend_1linear,
     extend_2linear,
     extend_bilinear,
@@ -88,16 +87,6 @@ def test_fun_table_is_total_and_strict():
         table("c")
     with pytest.raises(DomainError):
         FunTable(space, {"a": "u"})
-
-
-def test_enumerate_tables_counts():
-    dom = FiniteSpace(("a", "b"))
-    cod = FiniteSpace(("u", "v", "w"))
-    tables = enumerate_tables(dom, cod)
-    assert len(tables) == 9
-    assert len(set(tables)) == 9
-    with pytest.raises(ValueError):
-        enumerate_tables(cod, cod, limit=8)
 
 
 def test_cotensor_on_point_mass():
