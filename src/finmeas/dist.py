@@ -93,7 +93,7 @@ class FiniteSpace(FrozenValue):
         return as_point(x) in self.elements
 
     def __repr__(self):
-        return f"FiniteSpace({list(self.elements)!r})"
+        return f"FiniteSpace({_show_rational(list(self.elements), repr)})"
 
 
 class FunTable(FrozenValue):

@@ -10,10 +10,12 @@ without changing results.
 A law is a generator function whose parameters are its inputs, e.g.
 `def _fubini(P=dist(space_a), Q=dist(space_b))`. Each default is a draw
 spec, called as `draw(rng, cfg, semiring, drawn)`, where `drawn` maps
-the inputs drawn so far to their values. `run_law` is the one runner: it
-draws a case's inputs in parameter order, calls the law with them, and
-checks each equation `(description, lhs, rhs)` it yields with ==. It
-stops at the first mismatch, which it reports as
+the inputs drawn so far to their values. `Law.check` is the one
+comparer: it calls the law with one case's inputs and checks each
+equation `(description, lhs, rhs)` it yields with ==. `run_law` draws
+each case's inputs in parameter order and calls `check`; a test driver
+can call `check` on inputs it draws itself. `check` stops at the first
+mismatch, which it reports as
 
     NAME=value, ...; description: lhs!r != rhs!r
 
@@ -361,6 +363,15 @@ class Law(FrozenValue):
             drawn[name] = spec(rng, cfg, self.semiring, drawn)
         return drawn
 
+    def check(self, drawn: dict):
+        """Run the body on one case's inputs and compare each equation it
+        yields with ==: the counterexample text of the first mismatch, or
+        None when every equation holds."""
+        for desc, lhs, rhs in self.body(**drawn):
+            if not lhs == rhs:
+                return _counterexample(drawn, desc, lhs, rhs)
+        return None
+
 
 LAWS: "dict[str, Law]" = {}
 
@@ -396,11 +407,9 @@ def run_law(name: str, cfg: GenConfig) -> LawReport:
     rng = random.Random(f"{cfg.seed}:{name}")
     n = 1 if entry.deterministic else cfg.cases
     for i in range(1, n + 1):
-        drawn = entry.draw(rng, cfg)
-        for desc, lhs, rhs in entry.body(*drawn.values()):
-            if not lhs == rhs:
-                return LawReport(name, entry.statement, i, False,
-                                 _counterexample(drawn, desc, lhs, rhs))
+        failure = entry.check(entry.draw(rng, cfg))
+        if failure is not None:
+            return LawReport(name, entry.statement, i, False, failure)
     return LawReport(name, entry.statement, n, True)
 
 
@@ -490,11 +499,13 @@ def _total_pushforward(P=dist(space_a), f=table(space_a, space_b)):
      "homogeneous, and equals flatten after pushforward")
 def _linear_extension(f=dist_table(space_a, space_b), P=dist(space_a), Q=dist(space_a),
                       c=scalar(), x=point(space_a)):
+    sr = P.semiring
     ext = lambda p: linear_extend(f, p)
-    yield "ext(dirac(x)) = f(x)", ext(dirac(x)), f(x)
+    yield "ext(dirac(x)) = f(x)", ext(dirac(x, sr)), f(x)
     yield "ext = flatten.pushforward(f)", ext(P), flatten(pushforward(f, P))
     yield from _linear(ext, P, Q, c, "ext ")
-    yield "extension of dirac is the identity", linear_extend(TestFn.dist_valued(dirac), P), P
+    unit = TestFn.dist_valued(lambda y: dirac(y, sr), sr)
+    yield "extension of dirac is the identity", linear_extend(unit, P), P
 
 
 @law("biproduct",
@@ -502,15 +513,17 @@ def _linear_extension(f=dist_table(space_a, space_b), P=dist(space_a), Q=dist(sp
      "isomorphisms and totals add")
 def _biproduct(A=dist(space_a), B=dist(space_b), c=scalar(), A3=dist(space_a),
                B3=dist(space_b)):
+    sr = A.semiring
     m = biproduct_merge(A, B)
     a2, b2 = biproduct_split(m)
     yield "split(merge(A,B)) = (A,B)", (a2, b2), (A, B)
     yield "merge(split(M)) = M", biproduct_merge(a2, b2), m
-    yield "total(merge) = total(A)+total(B)", total(m), total(A) + total(B)
+    yield "total(merge) = total(A)+total(B)", total(m), sr.add(total(A), total(B))
     yield ("split respects +", biproduct_split(dist_add(m, biproduct_merge(A3, B3))),
            (dist_add(A, A3), dist_add(B, B3)))
     yield "split respects scale", biproduct_split(scale(c, m)), (scale(c, A), scale(c, B))
-    yield "merge(0,0) = 0", biproduct_merge(Dist.empty(), Dist.empty()), Dist.empty()
+    zero = Dist.empty(sr)
+    yield "merge(0,0) = 0", biproduct_merge(zero, zero), zero
 
 
 @law("additivity",
@@ -561,11 +574,13 @@ def _scale_equivariance(c=scalar(), P=dist(space_a), f=table(space_a, space_b),
      "the strengths send point masses to point masses on pairs and agree "
      "with tensoring against a dirac")
 def _strength_units(x=point(space_a), y=point(space_b), Q=dist(space_b)):
-    yield "strength_left(x, dirac(y)) = dirac((x,y))", strength_left(x, dirac(y)), dirac((x, y))
+    sr = Q.semiring
+    unit = lambda z: dirac(z, sr)
+    yield "strength_left(x, dirac(y)) = dirac((x,y))", strength_left(x, unit(y)), unit((x, y))
     yield ("strength_right(dirac(x), y) = dirac((x,y))",
-           strength_right(dirac(x), y), dirac((x, y)))
-    yield "strength_left = tensor against dirac", strength_left(x, Q), tensor(dirac(x), Q)
-    yield "strength_left(x, 0) = 0", strength_left(x, Dist.empty()), Dist.empty()
+           strength_right(unit(x), y), unit((x, y)))
+    yield "strength_left = tensor against dirac", strength_left(x, Q), tensor(unit(x), Q)
+    yield "strength_left(x, 0) = 0", strength_left(x, Dist.empty(sr)), Dist.empty(sr)
 
 
 @law("strength_pentagons",
@@ -637,7 +652,8 @@ def _tensor_symmetry_associativity(P=dist(space_a), Q=dist(space_b), R=dist(spac
      "bilinear extension of the dirac pairing is the tensor; 2-linear "
      "extension of it is the strength")
 def _tensor_initial(P=dist(space_a), Q=dist(space_b), x=point(space_a)):
-    unit_pair = TestFn.dist_valued(lambda x, y: dirac((x, y)))
+    sr = P.semiring
+    unit_pair = TestFn.dist_valued(lambda x, y: dirac((x, y), sr), sr)
     yield "extend_bilinear(dirac pair) = tensor", extend_bilinear(unit_pair)(P, Q), tensor(P, Q)
     yield ("extend_2linear(dirac pair) = strength_left",
            extend_2linear(unit_pair)(x, Q), strength_left(x, Q))
@@ -648,11 +664,11 @@ def _tensor_initial(P=dist(space_a), Q=dist(space_b), x=point(space_a)):
      "the evaluations, naturally in the codomain")
 def _cotensor(tables=several(table(space_a, space_b)), PF=mixture_of("tables"),
               x=point(space_a), h=table(space_b, space_c)):
-    g = tables[0]
+    g, sr = tables[0], PF.semiring
     yield ("cotensor of a point mass evaluates the table",
-           cotensor_strength(dirac(g), x), dirac(g(x)))
+           cotensor_strength(dirac(g, sr), x), dirac(g(x), sr))
     yield ("cotensor is linear in the mixture", cotensor_strength(PF, x),
-           linear_extend(TestFn.dist_valued(lambda t: dirac(t(x))), PF))
+           linear_extend(TestFn.dist_valued(lambda t: dirac(t(x), sr), sr), PF))
     post = lambda t: FunTable(t.domain, {a: h(t(a)) for a in t.domain})
     yield ("cotensor natural in the codomain",
            cotensor_strength(pushforward(post, PF), x), pushforward(h, cotensor_strength(PF, x)))

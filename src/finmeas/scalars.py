@@ -56,13 +56,20 @@ def format_rational(value: Fraction) -> str:
 def _show_rational(value, show=str) -> str:
     """`show(value)` for a display (a repr or an error message), where a
     rational past CPython's int-digit limit shows as `<N-digit rational>`
-    instead of raising. Any other value's error propagates."""
+    instead of raising, also inside tuples and lists at any depth (their
+    items shown by repr, as Python shows them). Any other value's error
+    propagates."""
     try:
         return show(value)
     except ValueError:
-        if not isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)):
+            return f"<{_digits(value)}-digit rational>"
+        if value.__class__ not in (tuple, list):
             raise
-        return f"<{_digits(value)}-digit rational>"
+    items = ", ".join([_show_rational(v, repr) for v in value])
+    if value.__class__ is list:
+        return f"[{items}]"
+    return f"({items},)" if len(value) == 1 else f"({items})"
 
 
 def _digits(value) -> int:

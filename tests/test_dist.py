@@ -25,7 +25,7 @@ from finmeas import (
 )
 from finmeas.dist import as_point
 
-from .conftest import atom_dists, bool_dists, nested_dists, small_fractions
+from .conftest import atom_dists, bool_dists, small_fractions
 
 
 def test_dirac_is_a_unit_mass():
@@ -161,26 +161,6 @@ def test_biproduct_zero_object():
 def test_biproduct_split_needs_tags():
     with pytest.raises(DomainError):
         biproduct_split(Dist({"a": 1}))
-
-
-@given(atom_dists(), atom_dists("uvw"))
-def test_biproduct_round_trip(a, b):
-    m = biproduct_merge(a, b)
-    assert biproduct_split(m) == (a, b)
-    assert biproduct_merge(*biproduct_split(m)) == m
-    assert total(m) == total(a) + total(b)
-
-
-@given(atom_dists())
-def test_monad_unit_laws(p):
-    assert flatten(Dist({p: 1})) == p
-    assert flatten(pushforward(dirac, p)) == p
-
-
-@given(nested_dists())
-def test_monad_flatten_is_linear(pp):
-    # flattening commutes with the outer module structure
-    assert flatten(scale(2, pp)) == scale(2, flatten(pp))
 
 
 @given(atom_dists(), small_fractions())

@@ -5,6 +5,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finmeas import (
     BOOLEANS, RATIONALS, Dist, GenConfig, SelectionError, run_law, run_suite, tensor, total,
@@ -14,6 +16,8 @@ from finmeas.laws import (
     LAWS, Law, const, dist, gen_dist, gen_scalar, law, scalar, space_a, space_b,
 )
 from finmeas.line import AffineMap
+
+from .conftest import line_dists
 
 
 def small_cfg(**kw):
@@ -210,20 +214,70 @@ def test_a_wrong_fubini_map_fails_both_twins(monkeypatch):
         assert "tensor = tensor_iterated: " in report.counterexample
 
 
-def test_degenerate_draws_pass_every_law():
+# -- the Hypothesis driver --------------------------------------------------
+#
+# Hypothesis draws a GenConfig and a random generator, each law's own draw
+# specs draw its inputs from that generator, and Law.check compares what
+# the body yields. A failure shrinks through st.randoms, and its message
+# is check's text, the same as a `finmeas laws` counterexample.
+
+# The law line pool has denominators 1 to 3 only, so these line laws also
+# take inputs from line_dists(), whose points have denominators up to 8.
+WIDER_INPUTS = {
+    "expectation_convolution": {"P": line_dists(), "Q": line_dists()},
+    "expectation_as_mu": {"P": line_dists()},
+    "derivative_total": {"P": line_dists()},
+    "derivative_expectation": {"P": line_dists()},
+    "derivative_switch": {"P": line_dists()},
+    "integration": {"P": line_dists()},
+}
+
+CONFIGS = st.builds(
+    GenConfig,
+    max_support=st.integers(1, 8),
+    coefficient_bound=st.integers(1, 64),
+    space_size=st.integers(1, 5),
+)
+
+EDGE_CONFIGS = (
     # empty supports, +-1 coefficients and one-point spaces
-    cfg = GenConfig(seed=1, cases=5, space_size=1, max_support=1, coefficient_bound=1)
-    reports = run_suite(cfg)
-    assert [(r.law, r.counterexample) for r in reports if not r.passed] == []
-    assert len(reports) == len(LAWS)
-
-
-def test_max_support_beyond_the_line_pool_passes_every_law():
+    GenConfig(space_size=1, max_support=1, coefficient_bound=1),
     # coefficient bound 1 leaves 7 rational line points, fewer than 8
-    cfg = GenConfig(seed=1, cases=5, max_support=8, coefficient_bound=1)
-    reports = run_suite(cfg)
-    assert [(r.law, r.counterexample) for r in reports if not r.passed] == []
-    assert len(reports) == len(LAWS)
+    GenConfig(max_support=8, coefficient_bound=1),
+)
+
+
+def edge_examples(test):
+    """Five generator seeds at each edge config, as explicit examples."""
+    for cfg, seed in itertools.product(EDGE_CONFIGS, range(1, 6)):
+        test = example(cfg=cfg, rng=random.Random(seed), data=None)(test)
+    return test
+
+
+@pytest.mark.parametrize("name", [n for n, e in LAWS.items() if not e.deterministic])
+@settings(deadline=None, max_examples=25)
+@edge_examples
+@given(cfg=CONFIGS, rng=st.randoms(use_true_random=False), data=st.data())
+def test_law_holds_on_hypothesis_draws(name, cfg, rng, data):
+    entry = LAWS[name]
+    drawn = entry.draw(rng, cfg)
+    if data is not None:  # an explicit example keeps the law's own draws
+        for key, inputs in WIDER_INPUTS.get(name, {}).items():
+            drawn[key] = data.draw(inputs, label=key)
+    failure = entry.check(drawn)
+    assert failure is None, failure
+
+
+def test_generic_bodies_use_their_inputs_semiring(monkeypatch):
+    # a body that writes the rational dirac, zero or + fails its boolean twin
+    for name in ("linear_extension", "strength_units", "tensor_initial", "cotensor",
+                 "biproduct"):
+        twin = f"bool_{name}"
+        entry = LAWS[name]
+        monkeypatch.setitem(LAWS, twin, Law(twin, entry.statement, entry.body, BOOLEANS))
+        for seed in range(3):
+            report = run_law(twin, GenConfig(seed=seed, cases=20))
+            assert report.passed, (twin, seed, report.counterexample)
 
 
 # sha256 over repr([(law, passed, cases_run, repr(rng.getstate())), ...])

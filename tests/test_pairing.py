@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
 
 import finmeas
 import finmeas.dist
@@ -15,7 +14,6 @@ from finmeas import (
     constant_one,
     density,
     dirac,
-    eval_at_eta,
     extend_1linear,
     extend_2linear,
     extend_bilinear,
@@ -30,7 +28,7 @@ from finmeas import (
 )
 from finmeas.strength import extend_1linear_via_strength, extend_2linear_via_strength
 
-from .conftest import atom_dists, table
+from .conftest import table
 
 
 def test_pairing_on_dirac_evaluates():
@@ -125,11 +123,6 @@ def test_semantics_of_empty_is_zero_functional():
     functional = semantics(Dist.empty())
     assert functional(lambda x: Fraction(9)) == 0
     assert functional(TestFn.dist_valued(dirac)) == Dist.empty()
-
-
-@given(atom_dists())
-def test_enough_test_functions(p):
-    assert eval_at_eta(semantics(p)) == p
 
 
 def test_fn_action_on_dirac():

@@ -296,6 +296,14 @@ def test_displays_name_an_oversized_rational_by_its_digit_count():
     space = FiniteSpace(["a"])
     assert repr(FunTable(space, {"a": HUGE})) == f"FunTable({{'a': {shown}}})"
     assert repr(Left(Fraction(1, 10**4400))) == f"Left(value={shown})"
+    # nested in a pair, a tag or a space's element list
+    assert repr(FiniteSpace([HUGE])) == f"FiniteSpace([{shown}])"
+    pair_table = FunTable(space, {"a": (HUGE, "b")})
+    assert repr(pair_table) == f"FunTable({{'a': ({shown}, 'b')}})"
+    assert repr(Left((HUGE, "b"))) == f"Left(value=({shown}, 'b'))"
+    assert repr(Right(((HUGE, "a"), Left(HUGE)))) == (
+        f"Right(value=(({shown}, 'a'), Left(value={shown})))"
+    )
 
 
 def test_displays_write_rationals_up_to_the_digit_limit_in_full():

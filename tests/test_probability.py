@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
 
 from finmeas import (
     ConditioningError,
@@ -25,10 +24,7 @@ from finmeas import (
     rv_sum,
     scale,
     tensor,
-    total,
 )
-
-from .conftest import atom_dists, table
 
 
 def test_normalize_uniform():
@@ -77,15 +73,6 @@ def test_event_table_validation():
     bad = FunTable(space, {"a": Fraction(1, 2), "b": Fraction(0)})
     assert is_event_table(good)
     assert not is_event_table(bad)
-
-
-@given(atom_dists(max_size=3))
-def test_conditioning_keeps_total_one(p):
-    event = table({"a": 1, "b": 1, "c": 0})
-    mass = pair(p, event)
-    if total(p) != 1 or mass == 0:
-        return
-    assert total(condition(p, event)) == 1
 
 
 def test_marginals_of_tensor_recover_factors():
