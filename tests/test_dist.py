@@ -163,6 +163,12 @@ def test_biproduct_split_needs_tags():
         biproduct_split(Dist({"a": 1}))
 
 
+@given(atom_dists())
+def test_monad_unit_laws(p):
+    assert flatten(Dist({p: 1})) == p
+    assert flatten(pushforward(dirac, p)) == p
+
+
 @given(atom_dists(), small_fractions())
 def test_pushforward_is_linear(p, c):
     f = lambda x: "u" if x == "a" else "v"

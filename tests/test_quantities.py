@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from finmeas import (
     BOOLEANS,
@@ -14,6 +15,13 @@ from finmeas import (
     scale,
     to_pure,
 )
+
+from .conftest import atom_dists, small_fractions
+
+
+@given(atom_dists(), small_fractions().filter(lambda u: u != 0))
+def test_tagging_round_trip(p, u):
+    assert to_pure(from_pure(p, u)) == p
 
 
 def test_rescale_with_same_unit_is_identity():
@@ -39,6 +47,16 @@ def test_boolean_unit_rejected():
     # the boolean rig has no inverses, so no boolean scalar can be a unit
     with pytest.raises(UnitError, match="cannot serve as units"):
         from_pure(Dist({"a": True}, BOOLEANS), True)
+
+
+@given(atom_dists(max_size=2), small_fractions().filter(lambda u: u != 0))
+def test_unit_determines_the_conversion(body, u):
+    # two taggings with the same unit convert every body identically
+    assert to_pure(UnitTagged(u, body)) == to_pure(UnitTagged(u, body))
+    other = u + 1 if u != -1 else u + 2
+    if body.is_empty():
+        return
+    assert to_pure(UnitTagged(u, body)) != to_pure(UnitTagged(other, body))
 
 
 def test_to_pure_is_a_module_map():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given
 
 import finmeas.dist
 
@@ -28,6 +29,8 @@ from finmeas import (
 )
 from finmeas.laws import _mixing
 from finmeas.strength import extend_1linear_via_strength, extend_2linear_via_strength
+
+from .conftest import nested_dists
 
 
 def test_strength_left_on_dirac():
@@ -187,6 +190,12 @@ def test_structure_map_names_the_first_bad_point_in_point_order():
     for order in permutations([Fraction(1), q, h, p]):
         with pytest.raises(TypeError, match=re.escape(f"cannot use {p!r}")):
             structure_map(Dist({x: 1 for x in order}))
+
+
+@given(nested_dists())
+def test_flatten_is_linear_predicate(pp):
+    lhs, rhs = _mixing(flatten, Dist({pp: 1}))
+    assert lhs == rhs
 
 
 def test_check_linear_on_pushforward():
