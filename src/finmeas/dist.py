@@ -22,7 +22,7 @@ divisors. The weights dict `_w` is read only in this module: every
 operation that reads a Dist's stored weights, from the monad and the
 strengths to `structure_map`, lives here. Outside it, `_of` is called
 only by the line kernels `primitive` and `interval`, which cannot make a
-zero either, and by the law suite's `gen_dist`.
+zero either, and by the law suite's `dist` draw spec.
 
 Test functions: a test function is any callable on points, with scalar
 values unless it says otherwise. A FunTable's codomain is read off its

@@ -10,7 +10,10 @@ without changing results.
 A law is a generator function whose parameters are its inputs, e.g.
 `def _fubini(P=dist(space_a), Q=dist(space_b))`. Each default is a draw
 spec, called as `draw(rng, cfg, semiring, drawn)`, where `drawn` maps
-the inputs drawn so far to their values. `Law.check` is the one
+the inputs drawn so far to their values. Specs are the only sampling
+layer and compose: a spec that needs a weight, a value or a distribution
+calls another spec, as `table(space_a, dist(space_b))` does. A law with
+no parameters has nothing to draw, so it runs once. `Law.check` is the one
 comparer: it calls the law with one case's inputs and checks each
 equation `(description, lhs, rhs)` it yields with ==. `run_law` draws
 each case's inputs in parameter order and calls `check`; a test driver
@@ -100,10 +103,6 @@ from .strength import (
 
 STEPS = tuple(Step(d) for d in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3)))
 
-_ATOMS_A = ("a", "b", "c", "d", "e")
-_ATOMS_B = ("u", "v", "w", "s", "t")
-_ATOMS_C = ("k", "m", "n", "g", "h")
-
 
 class GenConfig(FrozenValue):
     """Reproducibility knobs for the sample streams."""
@@ -143,24 +142,19 @@ class LawReport(FrozenValue):
         return out
 
 
-# -- spaces and generators ----------------------------------------------------
+# -- spaces and draw specs ------------------------------------------------------
+# A draw spec is called as spec(rng, cfg, semiring, drawn) and draws one law
+# input. `space` below is a function of cfg, such as space_a or line; specs
+# that take a spec (table, on_pairs, several) draw their parts through it.
 
 
-@lru_cache(maxsize=None)
-def _space(atoms: tuple, size: int) -> FiniteSpace:
-    return FiniteSpace(atoms[:size])
+def _atom_space(atoms: str):
+    """The space of the first cfg.space_size of `atoms`, as a function of cfg."""
+    spaces = {n: FiniteSpace(atoms[:n]) for n in range(1, len(atoms) + 1)}
+    return lambda cfg: spaces[cfg.space_size]
 
 
-def space_a(cfg: GenConfig) -> FiniteSpace:
-    return _space(_ATOMS_A, cfg.space_size)
-
-
-def space_b(cfg: GenConfig) -> FiniteSpace:
-    return _space(_ATOMS_B, cfg.space_size)
-
-
-def space_c(cfg: GenConfig) -> FiniteSpace:
-    return _space(_ATOMS_C, cfg.space_size)
+space_a, space_b, space_c = (_atom_space(atoms) for atoms in ("abcde", "uvwst", "kmngh"))
 
 
 @lru_cache(maxsize=None)
@@ -174,62 +168,6 @@ def line(cfg: GenConfig) -> FiniteSpace:
     return _line_space(cfg.coefficient_bound)
 
 
-def gen_scalar(rng, cfg: GenConfig, semiring: Semiring = RATIONALS, nonzero=True):
-    """A random scalar with numerator/denominator inside the bound.
-
-    With coefficient_bound == 1 this emits only 1 and -1 over a ring,
-    and only 1 over a rig.
-    """
-    if semiring.name == "boolean":
-        return True if nonzero else rng.choice((False, True))
-    b = cfg.coefficient_bound
-    num = rng.randint(1, b) if nonzero else rng.randint(0, b)
-    num *= rng.choice((1, -1))
-    return Fraction(num, rng.randint(1, b))
-
-
-def gen_dist(rng, cfg, space: FiniteSpace, semiring: Semiring = RATIONALS,
-             min_support=0) -> Dist:
-    k = rng.randint(min_support, min(cfg.max_support, len(space)))
-    points = rng.sample(space.elements, k)
-    return Dist._of({x: gen_scalar(rng, cfg, semiring) for x in points}, semiring)
-
-
-def gen_nested(rng, cfg, space, semiring: Semiring = RATIONALS, depth=2) -> Dist:
-    """A mixture of mixtures ... of distributions, `depth` layers deep."""
-    if depth <= 1:
-        return gen_dist(rng, cfg, space, semiring)
-    return Dist(
-        (
-            (gen_nested(rng, cfg, space, semiring, depth - 1), gen_scalar(rng, cfg, semiring))
-            for _ in range(rng.randint(0, cfg.max_support))
-        ),
-        semiring,
-    )
-
-
-def _total_one(rng, cfg, points) -> Dist:
-    """Random weights on `points` whose last weight makes the total 1."""
-    weights = [gen_scalar(rng, cfg) for _ in points[:-1]]
-    weights.append(1 - sum(weights))
-    return Dist(zip(points, weights))
-
-
-def gen_prob_dist(rng, cfg, space: FiniteSpace) -> Dist:
-    """A signed distribution with total exactly 1."""
-    k = rng.randint(1, min(cfg.max_support, len(space)))
-    return _total_one(rng, cfg, rng.sample(space.elements, k))
-
-
-# -- draw specs -----------------------------------------------------------------
-# A draw spec is called as spec(rng, cfg, semiring, drawn); `space` below is
-# a function of cfg, such as space_a or line.
-
-
-def const(value):
-    return lambda rng, cfg, sr, drawn: value
-
-
 def choice(values):
     return lambda rng, cfg, sr, drawn: rng.choice(values)
 
@@ -239,38 +177,68 @@ def point(space):
 
 
 def scalar(nonzero=True):
-    return lambda rng, cfg, sr, drawn: gen_scalar(rng, cfg, sr, nonzero)
+    """A scalar of the semiring, nonzero (a weight) unless nonzero=False.
+
+    A rational has numerator and denominator inside coefficient_bound, so
+    bound 1 gives only 1 and -1 (and 0); a boolean weight is True.
+    """
+    def draw(rng, cfg, sr, drawn):
+        if sr.name == "boolean":
+            return True if nonzero else rng.choice((False, True))
+        b = cfg.coefficient_bound
+        num = rng.randint(1, b) if nonzero else rng.randint(0, b)
+        num *= rng.choice((1, -1))
+        return Fraction(num, rng.randint(1, b))
+
+    return draw
+
+
+_weight, _coefficient = scalar(), scalar(nonzero=False)
 
 
 def dist(space, min_support=0):
-    return lambda rng, cfg, sr, drawn: gen_dist(rng, cfg, space(cfg), sr, min_support)
+    """At most max_support distinct points of the space, each with a weight."""
+    def draw(rng, cfg, sr, drawn):
+        elements = space(cfg).elements
+        k = rng.randint(min_support, min(cfg.max_support, len(elements)))
+        return Dist._of({x: _weight(rng, cfg, sr, drawn) for x in rng.sample(elements, k)}, sr)
+
+    return draw
 
 
 def nested(space, depth=2):
-    return lambda rng, cfg, sr, drawn: gen_nested(rng, cfg, space(cfg), sr, depth)
+    """A mixture of mixtures ... of distributions, `depth` layers deep."""
+    if depth <= 1:
+        return dist(space)
+    inner = nested(space, depth - 1)
+    return lambda rng, cfg, sr, drawn: Dist(
+        ((inner(rng, cfg, sr, drawn), _weight(rng, cfg, sr, drawn))
+         for _ in range(rng.randint(0, cfg.max_support))),
+        sr,
+    )
+
+
+def _total_one(rng, cfg, drawn, points) -> Dist:
+    """Rational weights on `points` whose last weight makes the total 1."""
+    weights = [_weight(rng, cfg, RATIONALS, drawn) for _ in points[:-1]]
+    weights.append(1 - sum(weights))
+    return Dist(zip(points, weights))
 
 
 def prob(space):
-    return lambda rng, cfg, sr, drawn: gen_prob_dist(rng, cfg, space(cfg))
+    """A signed distribution with total exactly 1."""
+    def draw(rng, cfg, sr, drawn):
+        elements = space(cfg).elements
+        k = rng.randint(1, min(cfg.max_support, len(elements)))
+        return _total_one(rng, cfg, drawn, rng.sample(elements, k))
+
+    return draw
 
 
-def table(domain, codomain):
-    """A map between two spaces, as a table."""
+def table(domain, values):
+    """A function on a space, as a table: one draw of `values` per point."""
     return lambda rng, cfg, sr, drawn: FunTable(
-        domain(cfg), {x: rng.choice(codomain(cfg).elements) for x in domain(cfg)}
-    )
-
-
-def scalar_table(domain):
-    return lambda rng, cfg, sr, drawn: FunTable(
-        domain(cfg), {x: gen_scalar(rng, cfg, sr, nonzero=False) for x in domain(cfg)}
-    )
-
-
-def dist_table(domain, codomain):
-    """A table whose values are distributions (a tabulated kernel)."""
-    return lambda rng, cfg, sr, drawn: FunTable(
-        domain(cfg), {x: gen_dist(rng, cfg, codomain(cfg), sr) for x in domain(cfg)}
+        domain(cfg), {x: values(rng, cfg, sr, drawn) for x in domain(cfg)}
     )
 
 
@@ -291,17 +259,20 @@ def several(spec):
 def mixture_of(name):
     """The values of the drawn list `name`, mixed with random weights."""
     return lambda rng, cfg, sr, drawn: Dist(
-        ((v, gen_scalar(rng, cfg, sr)) for v in drawn[name]), sr
+        ((v, _weight(rng, cfg, sr, drawn)) for v in drawn[name]), sr
     )
 
 
+# The specs below draw rational values whatever the law's semiring.
+
+
 def affine(rng, cfg, sr, drawn) -> AffineMap:
-    return AffineMap(gen_scalar(rng, cfg, nonzero=False), gen_scalar(rng, cfg, nonzero=False))
+    return AffineMap(*(_coefficient(rng, cfg, RATIONALS, drawn) for _ in range(2)))
 
 
 def poly(rng, cfg, sr, drawn) -> TestFn:
     """A random quadratic as a scalar test function on the line."""
-    c0, c1, c2 = (gen_scalar(rng, cfg, nonzero=False) for _ in range(3))
+    c0, c1, c2 = (_coefficient(rng, cfg, RATIONALS, drawn) for _ in range(3))
     return TestFn(lambda x: c0 + c1 * x + c2 * x * x, label=f"{c0} + ({c1})x + ({c2})x^2")
 
 
@@ -310,7 +281,7 @@ def kernel(rng, cfg, sr, drawn) -> TestFn:
     x -> sum of w_i * dirac(u_i * x + v_i)."""
     pool = line(cfg).elements
     terms = [
-        (gen_scalar(rng, cfg), rng.choice(pool), rng.choice(pool))
+        (_weight(rng, cfg, RATIONALS, drawn), rng.choice(pool), rng.choice(pool))
         for _ in range(rng.randint(1, 2))
     ]
     label = " + ".join(f"({w}) dirac(({u})x + ({v}))" for w, u, v in terms)
@@ -321,20 +292,25 @@ def joint(rng, cfg, sr, drawn) -> Dist:
     """A total-1 joint over rational pairs, usually correlated."""
     pool = line(cfg).elements
     k = rng.randint(1, cfg.max_support)
-    return _total_one(rng, cfg, sorted({(rng.choice(pool), rng.choice(pool)) for _ in range(k)}))
+    pairs = sorted({(rng.choice(pool), rng.choice(pool)) for _ in range(k)})
+    return _total_one(rng, cfg, drawn, pairs)
 
 
 def nonzero_total(rng, cfg, sr, drawn) -> Dist:
     """A line distribution whose total is not zero."""
+    body = dist(line, min_support=1)
     while True:
-        p = gen_dist(rng, cfg, line(cfg), min_support=1)
+        p = body(rng, cfg, RATIONALS, drawn)
         if total(p) != 0:
             return p
 
 
 def line_mixture(rng, cfg, sr, drawn) -> Dist:
     """A mixture of two line distributions."""
-    return Dist((gen_dist(rng, cfg, line(cfg)), gen_scalar(rng, cfg)) for _ in range(2))
+    part = dist(line)
+    return Dist(
+        (part(rng, cfg, RATIONALS, drawn), _weight(rng, cfg, RATIONALS, drawn)) for _ in range(2)
+    )
 
 
 # -- the registry and the runner ---------------------------------------------------
@@ -344,17 +320,22 @@ class Law(FrozenValue):
     """A named statement and its body, a generator function of the law's
     inputs; `draws` pairs each parameter name with its default draw spec."""
 
-    __slots__ = ("name", "statement", "body", "semiring", "deterministic", "draws")
-    _fields = __slots__[:5]
+    __slots__ = ("name", "statement", "body", "semiring", "draws")
+    _fields = __slots__[:4]
 
-    def __init__(self, name, statement, body, semiring=RATIONALS, deterministic=False):
-        super().__init__(name, statement, body, semiring, deterministic)
+    def __init__(self, name, statement, body, semiring=RATIONALS):
+        super().__init__(name, statement, body, semiring)
         code = body.__code__
         names = code.co_varnames[:code.co_argcount]
         specs = body.__defaults__ or ()
         if len(specs) != len(names) or code.co_kwonlyargcount:
             raise TypeError(f"law {name!r}: every parameter needs a draw spec as its default")
         object.__setattr__(self, "draws", tuple(zip(names, specs)))
+
+    @property
+    def deterministic(self) -> bool:
+        """A law without inputs draws nothing, so one case is all of it."""
+        return not self.draws
 
     def draw(self, rng, cfg: GenConfig) -> dict:
         """One case's inputs by name, drawn from rng in parameter order."""
@@ -376,14 +357,13 @@ class Law(FrozenValue):
 LAWS: "dict[str, Law]" = {}
 
 
-def law(name: str, statement: str, semiring: Semiring = RATIONALS,
-        deterministic: bool = False):
+def law(name: str, statement: str, semiring: Semiring = RATIONALS):
     """Register a generator function of drawn inputs as law `name`."""
     if name in LAWS:
         raise ValueError(f"law {name!r} is already registered")
 
     def register(fn):
-        LAWS[name] = Law(name, statement, fn, semiring, deterministic)
+        LAWS[name] = Law(name, statement, fn, semiring)
         return fn
 
     return register
@@ -483,21 +463,22 @@ def _monad_laws(P=dist(space_a), PPP=nested(space_a, depth=3)):
 
 
 @law("functor_laws", "pushforward preserves identities and composition")
-def _functor_laws(P=dist(space_a), f=table(space_a, space_b), g=table(space_b, space_c)):
+def _functor_laws(P=dist(space_a), f=table(space_a, point(space_b)),
+                  g=table(space_b, point(space_c))):
     yield "pushforward(id) = id", pushforward(lambda x: x, P), P
     yield ("pushforward(g.f) = pushforward(g).pushforward(f)",
            pushforward(lambda x: g(f(x)), P), pushforward(g, pushforward(f, P)))
 
 
 @law("total_pushforward", "total(pushforward(f, P)) = total(P) for every f")
-def _total_pushforward(P=dist(space_a), f=table(space_a, space_b)):
+def _total_pushforward(P=dist(space_a), f=table(space_a, point(space_b))):
     yield "total is pushforward-invariant", total(pushforward(f, P)), total(P)
 
 
 @law("linear_extension",
      "linear extension restricts to f on point masses, is additive and "
      "homogeneous, and equals flatten after pushforward")
-def _linear_extension(f=dist_table(space_a, space_b), P=dist(space_a), Q=dist(space_a),
+def _linear_extension(f=table(space_a, dist(space_b)), P=dist(space_a), Q=dist(space_a),
                       c=scalar(), x=point(space_a)):
     sr = P.semiring
     ext = lambda p: linear_extend(f, p)
@@ -529,8 +510,8 @@ def _biproduct(A=dist(space_a), B=dist(space_b), c=scalar(), A3=dist(space_a),
 @law("additivity",
      "sampled linear maps are additive/homogeneous; tensor, convolution "
      "and the pairing are bi-additive")
-def _additivity(f=table(space_a, space_b), phi=scalar_table(space_a), c=scalar(),
-                P=dist(space_a), Q=dist(space_a), R=dist(space_b), S=dist(space_b),
+def _additivity(f=table(space_a, point(space_b)), phi=table(space_a, scalar(nonzero=False)),
+                c=scalar(), P=dist(space_a), Q=dist(space_a), R=dist(space_b), S=dist(space_b),
                 L1=dist(line), L2=dist(line), L3=dist(line)):
     yield from _linear(lambda r: pushforward(f, r), P, Q, c, "pushforward ")
     yield from _linear(lambda r: scale(c, r), P, Q, c, "scale ")
@@ -545,8 +526,9 @@ def _additivity(f=table(space_a, space_b), phi=scalar_table(space_a), c=scalar()
 
 @law("linearity_closure",
      "pointwise sums and scalar multiples of linear maps are linear again")
-def _linearity_closure(f1=table(space_a, space_b), f2=table(space_a, space_b),
-                       phi=scalar_table(space_a), c=scalar(), table2=scalar_table(space_b),
+def _linearity_closure(f1=table(space_a, point(space_b)), f2=table(space_a, point(space_b)),
+                       phi=table(space_a, scalar(nonzero=False)), c=scalar(),
+                       table2=table(space_b, scalar(nonzero=False)),
                        mix1=nested(space_a), mix2=nested(space_a), mix3=nested(space_a)):
     g1 = lambda p: pushforward(f1, p)
     g2 = lambda p: fn_action(pushforward(f2, p), table2)
@@ -559,7 +541,7 @@ def _linearity_closure(f1=table(space_a, space_b), f2=table(space_a, space_b),
 @law("scale_equivariance",
      "pushforward, flatten, reweighting and the derivative all commute "
      "with scalar multiplication")
-def _scale_equivariance(c=scalar(), P=dist(space_a), f=table(space_a, space_b),
+def _scale_equivariance(c=scalar(), P=dist(space_a), f=table(space_a, point(space_b)),
                         PP=nested(space_a), L=dist(line), step=choice(STEPS)):
     yield "pushforward equivariant", pushforward(f, scale(c, P)), scale(c, pushforward(f, P))
     yield "flatten equivariant", flatten(scale(c, PP)), scale(c, flatten(PP))
@@ -662,8 +644,8 @@ def _tensor_initial(P=dist(space_a), Q=dist(space_b), x=point(space_a)):
 @law("cotensor",
      "evaluating a mixture of function tables at a point equals mixing "
      "the evaluations, naturally in the codomain")
-def _cotensor(tables=several(table(space_a, space_b)), PF=mixture_of("tables"),
-              x=point(space_a), h=table(space_b, space_c)):
+def _cotensor(tables=several(table(space_a, point(space_b))), PF=mixture_of("tables"),
+              x=point(space_a), h=table(space_b, point(space_c))):
     g, sr = tables[0], PF.semiring
     yield ("cotensor of a point mass evaluates the table",
            cotensor_strength(dirac(g, sr), x), dirac(g(x), sr))
@@ -678,15 +660,15 @@ def _cotensor(tables=several(table(space_a, space_b)), PF=mixture_of("tables"),
 
 
 @law("pairing_unit", "<dirac(x), phi> = phi(x)")
-def _pairing_unit(x=point(space_a), phi=scalar_table(space_a),
-                  psi=dist_table(space_a, space_b)):
+def _pairing_unit(x=point(space_a), phi=table(space_a, scalar(nonzero=False)),
+                  psi=table(space_a, dist(space_b))):
     yield "scalar case", pair(dirac(x), phi), phi(x)
     yield "vector case", pair(dirac(x), psi), psi(x)
 
 
 @law("pairing_extranatural", "<pushforward(f, P), phi> = <P, phi . f>")
-def _pairing_extranatural(P=dist(space_a), f=table(space_a, space_b),
-                          phi=scalar_table(space_b)):
+def _pairing_extranatural(P=dist(space_a), f=table(space_a, point(space_b)),
+                          phi=table(space_b, scalar(nonzero=False))):
     yield "extranaturality", pair(pushforward(f, P), phi), pair(P, lambda x: phi(f(x)))
 
 
@@ -697,8 +679,9 @@ def _total_as_pairing(P=dist(space_a)):
 
 @law("pairing_bilinear",
      "the pairing is linear in the distribution and in the test function")
-def _pairing_bilinear(PP=nested(space_a), phi=scalar_table(space_a), P=dist(space_a),
-                      tables=several(scalar_table(space_a)), TT=mixture_of("tables")):
+def _pairing_bilinear(PP=nested(space_a), phi=table(space_a, scalar(nonzero=False)),
+                      P=dist(space_a), tables=several(table(space_a, scalar(nonzero=False))),
+                      TT=mixture_of("tables")):
     yield "pairing linear in P", *_mixing(lambda p: pair(p, phi), PP)
     if not TT.is_empty():
         yield "pairing linear in phi", *_mixing(lambda t: pair(P, t), TT)
@@ -711,28 +694,30 @@ def _semantics_monic(P=dist(space_a)):
 
 
 @law("switch", "<P |- phi, psi> = <P, phi * psi>")
-def _switch(P=dist(space_a), phi=scalar_table(space_a), psi=dist_table(space_a, space_b),
-            chi=scalar_table(space_a)):
+def _switch(P=dist(space_a), phi=table(space_a, scalar(nonzero=False)),
+            psi=table(space_a, dist(space_b)), chi=table(space_a, scalar(nonzero=False))):
     for desc, v in (("vector psi", psi), ("scalar psi", chi)):
         yield desc, pair(fn_action(P, phi), v), pair(P, fn_pointwise_mul(phi, v))
 
 
 @law("action_total", "<P, phi> = total(P |- phi)")
-def _action_total(P=dist(space_a), phi=scalar_table(space_a)):
+def _action_total(P=dist(space_a), phi=table(space_a, scalar(nonzero=False))):
     yield "<P, phi> = total(P |- phi)", pair(P, phi), total(fn_action(P, phi))
 
 
 @law("action_monoid",
      "reweighting is associative and unitary: (P|-phi)|-psi = P|-(phi*psi), "
      "P|-1 = P")
-def _action_monoid(P=dist(space_a), phi1=scalar_table(space_a), phi2=scalar_table(space_a)):
+def _action_monoid(P=dist(space_a), phi1=table(space_a, scalar(nonzero=False)),
+                   phi2=table(space_a, scalar(nonzero=False))):
     yield ("associativity", fn_action(fn_action(P, phi1), phi2),
            fn_action(P, fn_pointwise_mul(phi1, phi2)))
     yield "unit", fn_action(P, constant_one()), P
 
 
 @law("frobenius", "pushforward(f, P) |- phi = pushforward(f, P |- (phi . f))")
-def _frobenius(P=dist(space_a), f=table(space_a, space_b), phi=scalar_table(space_b)):
+def _frobenius(P=dist(space_a), f=table(space_a, point(space_b)),
+               phi=table(space_b, scalar(nonzero=False))):
     yield ("Frobenius reciprocity",
            fn_action(pushforward(f, P), phi), pushforward(f, fn_action(P, lambda x: phi(f(x)))))
 
@@ -740,7 +725,7 @@ def _frobenius(P=dist(space_a), f=table(space_a, space_b), phi=scalar_table(spac
 def _density_q(rng, cfg, sr, drawn) -> Dist:
     """Random weights, zero allowed, on a random part of P's support."""
     sub = [x for x in drawn["P"].support() if rng.random() < 0.7]
-    return Dist((x, gen_scalar(rng, cfg, nonzero=False)) for x in sub)
+    return Dist((x, _coefficient(rng, cfg, RATIONALS, drawn)) for x in sub)
 
 
 @law("density_round_trip",
@@ -860,7 +845,7 @@ def _balanced(rng, cfg, sr, drawn) -> Dist:
         x0 = rng.choice(pool)
         block = []
         for _ in range(rng.randint(1, 3)):
-            w = gen_scalar(rng, cfg)
+            w = _weight(rng, cfg, RATIONALS, drawn)
             block.append((x0 + rng.randint(-4, 4) * d, w))
         block.append((x0 + rng.randint(-4, 4) * d, -sum(w for _, w in block)))
         terms += block
@@ -896,9 +881,9 @@ def _interval_laws(step=choice(STEPS), a=point(line), b=_interval_end):
      "convolution powers of intervals keep multiplicative totals "
      "((2a)^k for [-a,a]); expectations grow linearly at -a*d per power, "
      "because the comb realizing an interval is left-closed and hence "
-     "not symmetric",
-     deterministic=True)
-def _interval_powers(a=const(Fraction(1, 2)), d=const(Fraction(1, 4))):
+     "not symmetric")
+def _interval_powers():
+    a, d = Fraction(1, 2), Fraction(1, 4)
     unit = interval(-a, a, Step(d))
     wide = interval(Fraction(-1), Fraction(1), Step(Fraction(1, 2)))
     yield "E([-a,a]) = -a*d", expectation(unit), -a * d
@@ -941,7 +926,7 @@ def _event(rng, cfg, sr, drawn):
 @law("conditioning",
      "<P|phi, psi> <P, phi> = <P, phi psi>; conditioning keeps total 1 "
      "and conditioning on the sure event changes nothing")
-def _conditioning(P=prob(space_a), event=_event, psi=scalar_table(space_a)):
+def _conditioning(P=prob(space_a), event=_event, psi=table(space_a, scalar(nonzero=False))):
     if event is None:
         return
     conditioned = condition(P, event)
@@ -992,7 +977,7 @@ def _probability_closure(P=prob(line), Q=prob(line)):
      "equal units give equal pure values, and conversion to pure commutes "
      "with pushforward, addition and scaling")
 def _unit_determined(P=dist(space_a), u=scalar(), u2=scalar(),
-                     body=dist(space_a, min_support=1), f=table(space_a, space_b),
+                     body=dist(space_a, min_support=1), f=table(space_a, point(space_b)),
                      c=scalar(), Q=dist(space_a)):
     m = from_pure(P, u)
     yield "to_pure inverts from_pure", to_pure(m), P
@@ -1014,7 +999,7 @@ def _unit_determined(P=dist(space_a), u=scalar(), u2=scalar(),
      "possibility/powerset reading of distributions)",
      semiring=BOOLEANS)
 def _bool_monad_functor(P=dist(space_a), PPP=nested(space_a, depth=3), P2=dist(space_a),
-                        f=table(space_a, space_b), g=table(space_b, space_c)):
+                        f=table(space_a, point(space_b)), g=table(space_b, point(space_c))):
     yield from _monad_laws(P, PPP)
     yield from _functor_laws(P2, f, g)
 

@@ -26,8 +26,11 @@ from .scalars import RATIONALS, Semiring
 
 
 def constant_one(semiring: Semiring = RATIONALS) -> TestFn:
-    """The constant-1 test function; pairing against it forms the total."""
-    return TestFn(lambda x: semiring.one, zero=semiring.zero)
+    """The constant-1 test function; pairing against it forms the total.
+
+    It declares no zero, so pairing it with the empty distribution gives
+    that distribution's zero, as for any scalar test function."""
+    return TestFn(lambda x: semiring.one)
 
 
 def pair(p: Dist, phi):

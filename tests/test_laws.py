@@ -9,15 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finmeas import (
-    BOOLEANS, RATIONALS, Dist, GenConfig, SelectionError, run_law, run_suite, tensor, total,
+    BOOLEANS, RATIONALS, Dist, FiniteSpace, GenConfig, SelectionError, run_law, run_suite,
+    tensor, total,
 )
 from finmeas import laws
-from finmeas.laws import (
-    LAWS, Law, const, dist, gen_dist, gen_scalar, law, scalar, space_a, space_b,
-)
+from finmeas.laws import LAWS, Law, choice, dist, law, prob, scalar, space_a, space_b
 from finmeas.line import AffineMap
-
-from .conftest import line_dists
 
 
 def small_cfg(**kw):
@@ -70,8 +67,8 @@ def test_report_json_shape():
 
 def test_generator_determinism():
     cfg = small_cfg()
-    a = gen_dist(random.Random("x"), cfg, space_a(cfg))
-    b = gen_dist(random.Random("x"), cfg, space_a(cfg))
+    a = dist(space_a)(random.Random("x"), cfg, RATIONALS, {})
+    b = dist(space_a)(random.Random("x"), cfg, RATIONALS, {})
     assert a == b
 
 
@@ -79,25 +76,23 @@ def test_generator_respects_support_bound():
     cfg = small_cfg(max_support=1)
     rng = random.Random(3)
     for _ in range(50):
-        assert len(gen_dist(rng, cfg, space_a(cfg))) <= 1
+        assert len(dist(space_a)(rng, cfg, RATIONALS, {})) <= 1
 
 
 def test_generator_coefficient_bound_one():
     cfg = small_cfg(coefficient_bound=1)
-    rng = random.Random(3)
-    ring_values = {gen_scalar(rng, cfg) for _ in range(50)}
+    rng, weight = random.Random(3), scalar()
+    ring_values = {weight(rng, cfg, RATIONALS, {}) for _ in range(50)}
     assert ring_values == {Fraction(1), Fraction(-1)}
-    rig_values = {gen_scalar(rng, cfg, BOOLEANS) for _ in range(10)}
+    rig_values = {weight(rng, cfg, BOOLEANS, {}) for _ in range(10)}
     assert rig_values == {True}
 
 
 def test_generated_prob_dists_have_total_one():
-    from finmeas.laws import gen_prob_dist
-
     cfg = small_cfg()
     rng = random.Random(11)
     for _ in range(50):
-        assert total(gen_prob_dist(rng, cfg, space_a(cfg))) == 1
+        assert total(prob(space_a)(rng, cfg, RATIONALS, {})) == 1
 
 
 def test_every_law_has_a_statement():
@@ -113,7 +108,7 @@ def test_law_names_register_once():
 
 
 def test_runner_stops_at_the_first_mismatch_and_formats_it(monkeypatch):
-    def probe(a=const(Fraction(1, 2)), x=const("u")):
+    def probe(a=choice([Fraction(1, 2)]), x=choice(["u"])):
         yield "holds", Fraction(1), Fraction(1)
         yield "a = x", a, x
         raise AssertionError("the runner went on after a mismatch")
@@ -127,7 +122,7 @@ def test_runner_stops_at_the_first_mismatch_and_formats_it(monkeypatch):
 def test_counterexample_names_an_oversized_rational_by_its_digit_count(monkeypatch):
     huge = Fraction(1, 10**4400)
 
-    def probe(a=const(huge), x=const("u")):
+    def probe(a=choice([huge]), x=choice(["u"])):
         yield "a = {x: a}", a, Dist({x: a})
 
     monkeypatch.setitem(LAWS, "probe", Law("probe", "a probe", probe))
@@ -136,6 +131,21 @@ def test_counterexample_names_an_oversized_rational_by_its_digit_count(monkeypat
     assert report.counterexample == (
         f"a={shown}, x='u'; a = {{x: a}}: {shown} != Dist({{'u': {shown}}})"
     )
+
+
+def test_a_law_without_inputs_runs_once(monkeypatch):
+    def no_inputs():
+        yield "1 = 1", Fraction(1), Fraction(1)
+
+    def one_input(P=dist(space_a)):
+        yield "P = P", P, P
+
+    cfg = small_cfg()
+    for body, cases in ((no_inputs, 1), (one_input, cfg.cases)):
+        monkeypatch.setitem(LAWS, "probe", Law("probe", "a probe", body))
+        assert LAWS["probe"].deterministic is (cases == 1)
+        report = run_law("probe", cfg)
+        assert (report.passed, report.cases_run) == (True, cases), body.__name__
 
 
 def test_counterexample_lists_every_drawn_input_in_draw_order(monkeypatch):
@@ -202,10 +212,10 @@ def test_a_wrong_fubini_map_fails_both_twins(monkeypatch):
     for name, semiring in (("fubini", RATIONALS), ("bool_fubini", BOOLEANS)):
         # replay the law's draws: the first case whose tensor is not empty fails
         rng = random.Random(f"{cfg.seed}:{name}")
+        P, Q = dist(space_a), dist(space_b)
         first = next(
             i for i in itertools.count(1)
-            if len(gen_dist(rng, cfg, space_a(cfg), semiring))
-            * len(gen_dist(rng, cfg, space_b(cfg), semiring))
+            if len(P(rng, cfg, semiring, {})) * len(Q(rng, cfg, semiring, {}))
         )
         report = run_law(name, cfg)
         assert report.to_json()["passed"] is False
@@ -221,15 +231,20 @@ def test_a_wrong_fubini_map_fails_both_twins(monkeypatch):
 # the body yields. A failure shrinks through st.randoms, and its message
 # is check's text, the same as a `finmeas laws` counterexample.
 
-# The law line pool has denominators 1 to 3 only, so these line laws also
-# take inputs from line_dists(), whose points have denominators up to 8.
+# The law line pool has denominators 1 to 3 only, so these line laws draw
+# P (and Q) again, over the wider line of the points n/d with d <= 8 and
+# |n/d| <= 8, through the same dist spec and from the same generator.
+WIDE_LINE = FiniteSpace(
+    sorted({Fraction(n, d) for d in range(1, 9) for n in range(-8 * d, 8 * d + 1)})
+)
+WIDE_DIST = dist(lambda cfg: WIDE_LINE)
 WIDER_INPUTS = {
-    "expectation_convolution": {"P": line_dists(), "Q": line_dists()},
-    "expectation_as_mu": {"P": line_dists()},
-    "derivative_total": {"P": line_dists()},
-    "derivative_expectation": {"P": line_dists()},
-    "derivative_switch": {"P": line_dists()},
-    "integration": {"P": line_dists()},
+    "expectation_convolution": ("P", "Q"),
+    "expectation_as_mu": ("P",),
+    "derivative_total": ("P",),
+    "derivative_expectation": ("P",),
+    "derivative_switch": ("P",),
+    "integration": ("P",),
 }
 
 CONFIGS = st.builds(
@@ -250,20 +265,19 @@ EDGE_CONFIGS = (
 def edge_examples(test):
     """Five generator seeds at each edge config, as explicit examples."""
     for cfg, seed in itertools.product(EDGE_CONFIGS, range(1, 6)):
-        test = example(cfg=cfg, rng=random.Random(seed), data=None)(test)
+        test = example(cfg=cfg, rng=random.Random(seed))(test)
     return test
 
 
 @pytest.mark.parametrize("name", [n for n, e in LAWS.items() if not e.deterministic])
 @settings(deadline=None, max_examples=25)
 @edge_examples
-@given(cfg=CONFIGS, rng=st.randoms(use_true_random=False), data=st.data())
-def test_law_holds_on_hypothesis_draws(name, cfg, rng, data):
+@given(cfg=CONFIGS, rng=st.randoms(use_true_random=False))
+def test_law_holds_on_hypothesis_draws(name, cfg, rng):
     entry = LAWS[name]
     drawn = entry.draw(rng, cfg)
-    if data is not None:  # an explicit example keeps the law's own draws
-        for key, inputs in WIDER_INPUTS.get(name, {}).items():
-            drawn[key] = data.draw(inputs, label=key)
+    for key in WIDER_INPUTS.get(name, ()):
+        drawn[key] = WIDE_DIST(rng, cfg, entry.semiring, drawn)
     failure = entry.check(drawn)
     assert failure is None, failure
 

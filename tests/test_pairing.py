@@ -6,6 +6,7 @@ import finmeas
 import finmeas.dist
 import finmeas.pairing
 from finmeas import (
+    BOOLEANS,
     Dist,
     DomainError,
     NoDensityError,
@@ -45,6 +46,15 @@ def test_pairing_weighted_sum_by_hand():
 def test_pairing_against_one_is_total():
     p = Dist({"a": Fraction(1, 2), "b": Fraction(1, 3)})
     assert pair(p, constant_one()) == total(p) == Fraction(5, 6)
+
+
+def test_constant_one_on_the_empty_distribution_is_its_zero():
+    # the zero follows the paired distribution's semiring, not constant_one's
+    for p, one in ((Dist.empty(BOOLEANS), constant_one()),
+                   (Dist.empty(), constant_one(BOOLEANS))):
+        result, zero = pair(p, one), total(p)
+        assert type(result) is type(zero) and result == zero, p.semiring.name
+    assert pair(Dist.empty(BOOLEANS), constant_one()) is False
 
 
 def test_pairing_undefined_point_is_domain_error():

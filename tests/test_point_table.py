@@ -159,17 +159,22 @@ _LEAVES = st.one_of(
 )
 
 
+def _dicts(keys, values, max_size):
+    # st.dictionaries draws keys unique by a filter, and each retried draw
+    # renders the repr of `keys`, here the whole recursive POINTS strategy
+    # (32-64 kB); a list of pairs made a dict holds the same dicts
+    return st.lists(st.tuples(keys, values), max_size=max_size).map(dict)
+
+
 def _compound(inner):
     return st.one_of(
         st.tuples(inner, inner),
         st.tuples(inner, inner).map(Pair),
         inner.map(Left),
         inner.map(Right),
-        st.dictionaries(inner, small_fractions(), max_size=3).map(Dist),
-        st.dictionaries(inner, st.just(True), max_size=2).map(
-            lambda d: Dist(d, BOOLEANS)
-        ),
-        st.dictionaries(inner, inner, max_size=2).map(table),
+        _dicts(inner, small_fractions(), 3).map(Dist),
+        _dicts(inner, st.just(True), 2).map(lambda d: Dist(d, BOOLEANS)),
+        _dicts(inner, inner, 2).map(table),
     )
 
 
