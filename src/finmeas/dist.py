@@ -9,23 +9,32 @@ totally ordered, rationals < atoms < pairs < Left < Right < distributions
 
 Construction contract: a zero weight can only come from a sum, so zeros
 are dropped in exactly one place, `_accumulate`, which every summing
-operation (the public constructor, pushforward, flatten, dist_add and
-the Dist-valued linear extension) goes through. It sums each point's
+operation (the public constructor, pushforward, dist_add and the
+distribution sums of `_mix`) goes through. It sums each point's
 colliding terms once, after the whole stream, with the semiring's n-ary
-`sum`, and drops the sums that are zero. Scalar sums (`total`, the
-scalar linear extension and so the pairing) call `sum` once too. Every
-other operation builds its result with `Dist._of`, which adopts its
-dict without a scan: negation, the biproduct and the strengths cannot
-make a zero, `scale` and `fn_action` skip a zero factor, and `tensor`'s
-products of nonzero weights stay nonzero because a Semiring has no zero
-divisors. The weights dict `_w` is read only in this module: every
-operation that reads a Dist's stored weights, from the monad and the
-strengths to `structure_map`, lives here. Outside it, `_of` is called
+`sum`, and drops the sums that are zero. Scalar sums (`total` and the
+scalar sums of `_mix`) call `sum` once too. Every other operation
+builds its result with `Dist._of`, which adopts its dict without a
+scan: negation, the biproduct and the strengths cannot make a zero,
+`scale` and `fn_action` skip a zero factor, and `tensor`'s products of
+nonzero weights stay nonzero because a Semiring has no zero divisors.
+The weights dict `_w` is read only in this module: every operation that
+reads a Dist's stored weights, from the monad and the strengths to
+`structure_map`, lives here. Outside it, `_of` is called
 only by the line kernels `primitive` and `interval`, which cannot make a
 zero either, and by the law suite's `dist` draw spec.
 
+One weighted sum: `_mix` sums (module element, weight) pairs in the
+module the elements live in, distributions through `_accumulate`,
+function tables pointwise and scalars with `sum`. flatten, the linear
+extension (so the pairing, the moments, `eval_at_eta` and the
+`extend_*` builders) and `structure_map` sum through it here, and so do
+the test-function helpers `line.fn_derivative` and
+`pairing.fn_pointwise_mul`, the only importers outside this module.
+
 Test functions: a test function is any callable on points, with scalar
-values unless it says otherwise. A FunTable's codomain is read off its
+values unless it says otherwise; its values may be scalars,
+distributions or function tables. A FunTable's codomain is read off its
 values, and a TestFn declares its codomain's zero (`TestFn.dist_valued`
 for distribution values). `codomain_zero` alone works that zero out,
 and the linear extension of f over the empty distribution returns it.
@@ -75,13 +84,24 @@ class FiniteSpace(FrozenValue):
     Used wherever functions must be enumerated or tabulated exhaustively.
     """
 
-    __slots__ = _fields = ("elements",)
+    _fields = ("elements",)
+    __slots__ = _fields + ("_ordered",)  # a cache, unset until first read
 
     def __init__(self, elements: Iterable):
         elems = tuple(as_point(x) for x in elements)
         if len(set(elems)) != len(elems):
             raise ValueError("FiniteSpace elements must be duplicate-free")
         object.__setattr__(self, "elements", elems)
+
+    def _in_point_order(self) -> "FiniteSpace":
+        """The same points in point order: this space itself if they are."""
+        try:
+            return self._ordered
+        except AttributeError:  # first read: sort once and cache
+            elems = tuple(sorted(self.elements, key=point_key))
+            ordered = self if elems == self.elements else FiniteSpace(elems)
+            object.__setattr__(self, "_ordered", ordered)
+            return ordered
 
     def __iter__(self):
         return iter(self.elements)
@@ -100,8 +120,9 @@ class FunTable(FrozenValue):
     """A total function on a FiniteSpace, given by an explicit table.
 
     Tables are immutable and hashable, so a distribution over function
-    tables is itself a valid Dist. Calling a table outside its domain is
-    a DomainError.
+    tables is itself a valid Dist. The domain is stored in point order,
+    whatever order it was given in, so equal functions are equal tables.
+    Calling a table outside its domain is a DomainError.
     """
 
     __slots__ = _fields = ("domain", "_map")
@@ -111,13 +132,15 @@ class FunTable(FrozenValue):
         table = {as_point(x): as_point(v) for x, v in mapping.items()}
         if set(table) != set(domain.elements):
             raise DomainError("table must be defined on exactly the domain")
-        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "domain", domain._in_point_order())
+        # the map keeps the order the mapping was given in; only the wire
+        # format (`jsonio.table_to_json`) shows it
         object.__setattr__(self, "_map", table)
 
     def __call__(self, x):
         x = as_point(x)
         if x not in self._map:
-            raise DomainError(f"{x!r} is outside the table's domain")
+            raise DomainError(f"{_show_rational(x, repr)} is outside the table's domain")
         return self._map[x]
 
     def items(self):
@@ -350,12 +373,13 @@ def _require_points(p: Dist, ok, message: str, error=DomainError) -> Dist:
     """Raise `error` unless every support point passes `ok`.
 
     The message names the first failing point in point order, so it does
-    not depend on how the distribution was built. Only that error path
-    sorts the support.
+    not depend on how the distribution was built, and shows it as its
+    repr, with a rational past the int-digit limit as its digit count.
+    Only that error path sorts the support.
     """
     if not all(map(ok, p._w)):
         x = next(x for x in p.support() if not ok(x))
-        raise error(message.format(x))
+        raise error(message.format(_show_rational(x, repr)))
     return p
 
 
@@ -441,16 +465,11 @@ def flatten(pp: Dist) -> Dist:
     that is not a Dist is named first in point order.
     """
     sr = pp.semiring
-    _require_points(
-        pp, _is_dist, "flatten needs Dist-valued points, got {!r}", TypeError
-    )
-    for inner in pp._w:
-        _same_semiring(pp, inner)
-    mul = sr.mul
-    terms = [
-        (y, mul(c, v)) for inner, c in pp._w.items() for y, v in inner._w.items()
-    ]
-    return Dist._of(_accumulate({}, terms, sr), sr)
+    _require_points(pp, _is_dist, "flatten needs Dist-valued points, got {}", TypeError)
+    if not pp._w:
+        return Dist.empty(sr)
+    _same_semiring(pp, next(iter(pp._w)))  # `_mix` holds the rest to the first
+    return _mix(list(pp._w.items()), sr)
 
 
 def _is_dist(x) -> bool:
@@ -506,23 +525,51 @@ def dist_sub(p: Dist, q: Dist) -> Dist:
     return dist_add(p, -q)
 
 
-# -- values of paired/extended maps ----------------------------------------
+# -- the weighted sum in a module --------------------------------------------
 #
-# Maps out of a distribution land in a module: either the scalars
-# themselves or another distribution space. These helpers give the two
-# shapes one arithmetic.
+# Maps out of a distribution land in a module: the scalars themselves, a
+# distribution space, or a space of function tables. `_mix` is the one
+# weighted sum in all three.
+
+_MIXED_VALUES = "linear_extend: f mixes distribution values with scalar values"
 
 
-def scale_value(sr: Semiring, c, v):
-    if isinstance(v, Dist):
-        return scale(c, v)
-    return sr.mul(c, sr.coerce(v))
+def _mix(values: list, sr: Semiring):
+    """The sum of c*v over a nonempty list of (module element v, weight c)
+    pairs, with the weights scalars of `sr`.
 
-
-def sub_values(sr: Semiring, a, b):
-    if isinstance(a, Dist) or isinstance(b, Dist):
-        return dist_sub(a, b)
-    return sr.sub(a, b)
+    The first element names the module. Distributions sum through
+    `_accumulate`, in their own semiring, and a zero weight adds nothing;
+    function tables, if all the elements are, mix pointwise over their
+    one domain; anything else is a scalar of `sr`. A distribution among
+    elements that are not, or the other way round, is a TypeError. Every
+    element is checked before any is summed; the scalar sum does that in
+    its one pass, as `coerce` refuses a distribution or a table.
+    """
+    head = values[0][0]
+    if isinstance(head, Dist):
+        for v, _ in values:
+            if not isinstance(v, Dist):
+                raise TypeError(_MIXED_VALUES)
+            _same_semiring(head, v)
+        vsr = head.semiring
+        mul, coerce, zero = vsr.mul, vsr.coerce, vsr.zero
+        # the weights left are nonzero, and so are their products
+        scaled = [(coerce(c), v._w) for v, c in values]
+        terms = [(y, mul(c, w)) for c, v in scaled if c != zero for y, w in v.items()]
+        return Dist._of(_accumulate({}, terms, vsr), vsr)
+    if isinstance(head, FunTable) and all(isinstance(t, FunTable) for t, _ in values):
+        domain = head.domain
+        if any(t.domain != domain for t, _ in values):
+            raise DomainError("cannot mix tables over different domains")
+        return FunTable(domain, {x: _mix([(t(x), c) for t, c in values], sr) for x in domain})
+    mul, coerce = sr.mul, sr.coerce
+    try:
+        return _sum_list([mul(c, coerce(v)) for v, c in values], sr)
+    except TypeError:
+        if any(isinstance(v, Dist) for v, _ in values):
+            raise TypeError(_MIXED_VALUES) from None
+        raise
 
 
 def zero_like(v, sr: Semiring = RATIONALS):
@@ -574,47 +621,18 @@ def codomain_zero(f, sr: Semiring = RATIONALS):
     return sr.zero
 
 
-_MIXED_VALUES = "linear_extend: f mixes distribution values with scalar values"
-
-
 def linear_extend(f, p: Dist):
     """Linear extension of f over the unit: the weighted sum of f's values.
 
-    f is a test function: it maps points to scalars or to distributions,
-    and the result is sum of p(x)*f(x) in the matching module. For an
-    empty p that sum is the zero of f's codomain, `codomain_zero(f)`.
-    f's values must all have one shape: a mix of scalars and
-    distributions is a TypeError.
+    f is a test function: it maps points to scalars, distributions or
+    function tables, and the result is the sum of p(x)*f(x) in the
+    matching module (`_mix`). For an empty p that sum is the zero of f's
+    codomain, `codomain_zero(f)`. f's values must all have one shape: a
+    mix of scalars and distributions is a TypeError.
     """
-    sr = p.semiring
-    items = iter(p._w.items())
-    head = next(items, None)
-    if head is None:
-        return codomain_zero(f, sr)
-    x, c = head
-    first = f(x)
-    if not isinstance(first, Dist):
-        mul, coerce = sr.mul, sr.coerce
-        products = [mul(c, coerce(first))]
-        for x, c in items:
-            v = f(x)
-            if isinstance(v, Dist):
-                raise TypeError(_MIXED_VALUES)
-            products.append(mul(c, coerce(v)))
-        return _sum_list(products, sr)
-    # Every value is checked before any is summed. p's weights are nonzero
-    # and a Semiring has no zero divisors, so only the sums can cancel.
-    vsr = first.semiring
-    mul, coerce = vsr.mul, vsr.coerce
-    values = [(coerce(c), first)]
-    for x, c in items:
-        v = f(x)
-        if not isinstance(v, Dist):
-            raise TypeError(_MIXED_VALUES)
-        _same_semiring(first, v)
-        values.append((coerce(c), v))
-    terms = [(y, mul(c, w)) for c, v in values for y, w in v._w.items()]
-    return Dist._of(_accumulate({}, terms, vsr), vsr)
+    if not p._w:
+        return codomain_zero(f, p.semiring)
+    return _mix([(f(x), c) for x, c in p._w.items()], p.semiring)
 
 
 def fn_action(p: Dist, phi) -> Dist:
@@ -652,29 +670,19 @@ def structure_map(d: Dist, zero=None):
         if zero is None:
             raise ValueError("structure_map of empty distribution needs zero=")
         return zero
-    points = d._w
+    points, sr = d._w, d.semiring
     # the point table (`_KINDS`) ranks every other point before
     # distributions, and distributions before tables
+    if all(isinstance(x, FunTable) for x in points):
+        return _mix(list(points.items()), sr)
     if all(isinstance(x, (Dist, FunTable)) for x in points):
-        if all(isinstance(x, FunTable) for x in points):
-            return _table_mixture(d)
         return flatten(d)
-    sr = d.semiring
-    mul, coerce = sr.mul, sr.coerce
     try:
-        return sr.sum([mul(c, coerce(x)) for x, c in points.items()])
+        return _mix(list(points.items()), sr)
     except (TypeError, ValueError):
         for x in d.support():
-            coerce(x)  # raises for the first bad point in point order
+            sr.coerce(x)  # raises for the first bad point in point order
         raise
-
-
-def _table_mixture(d: Dist) -> FunTable:
-    tables = iter(d._w)
-    domain = next(tables).domain
-    if any(t.domain != domain for t in tables):
-        raise DomainError("cannot mix tables over different domains")
-    return FunTable(domain, {x: linear_extend(lambda t: t(x), d) for x in domain})
 
 
 # -- biproduct structure ----------------------------------------------------
@@ -682,14 +690,10 @@ def _table_mixture(d: Dist) -> FunTable:
 
 def biproduct_split(p: Dist) -> Tuple[Dist, Dist]:
     """Split a distribution over tagged points into its two components."""
+    _require_points(p, lambda x: isinstance(x, _Tagged), "point {} carries no Left/Right tag")
     left, right = {}, {}
     for x, c in p._w.items():
-        if isinstance(x, Left):
-            left[x.value] = c
-        elif isinstance(x, Right):
-            right[x.value] = c
-        else:
-            raise DomainError(f"point {x!r} carries no Left/Right tag")
+        (left if isinstance(x, Left) else right)[x.value] = c
     return Dist._of(left, p.semiring), Dist._of(right, p.semiring)
 
 

@@ -89,7 +89,7 @@ def dist_from_json(obj) -> Dist:
 
 def table_to_json(table: FunTable) -> dict:
     out = {}
-    for x, v in table.items():
+    for x, v in table._map.items():  # in the order the mapping was given in
         key = point_to_json(x)
         if not isinstance(key, str):
             raise ParseError("table keys on the wire must be atoms or rationals")

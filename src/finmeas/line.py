@@ -15,6 +15,7 @@ from fractions import Fraction
 from .dist import (
     Dist,
     TestFn,
+    _mix,
     _require_points,
     codomain_zero,
     dirac,
@@ -23,14 +24,12 @@ from .dist import (
     fn_action,
     pushforward,
     scale,
-    scale_value,
-    sub_values,
     tensor,
     total,
 )
 from .errors import DomainError, NoPrimitiveError, NormalizationError
 from .pairing import pair
-from .scalars import RATIONALS, FrozenValue
+from .scalars import RATIONALS, FrozenValue, _show_rational
 
 _rational = RATIONALS.coerce
 
@@ -39,7 +38,7 @@ def _require_line(p: Dist) -> Dist:
     if p.semiring.name != "rational":
         raise DomainError("line calculus needs rational weights")
     return _require_points(
-        p, lambda x: isinstance(x, Fraction), "support point {!r} is not a rational"
+        p, lambda x: isinstance(x, Fraction), "support point {} is not a rational"
     )
 
 
@@ -143,14 +142,13 @@ def derivative(p: Dist, step: Step) -> Dist:
 
 def fn_derivative(phi, step: Step) -> TestFn:
     """The forward difference quotient of a function on the line:
-    x -> (phi(x + d) - phi(x)) / d. Works for scalar- and
-    distribution-valued functions alike."""
+    x -> (phi(x + d) - phi(x)) / d. Works for scalar-, distribution- and
+    table-valued functions alike."""
     d = step.d
     inv = 1 / d
 
     def diff(x):
-        delta = sub_values(RATIONALS, phi(x + d), phi(x))
-        return scale_value(RATIONALS, inv, delta)
+        return _mix([(phi(x + d), inv), (phi(x), -inv)], RATIONALS)
 
     return TestFn(diff, zero=codomain_zero(phi, RATIONALS))
 
@@ -181,7 +179,8 @@ def primitive(q: Dist, step: Step) -> Dist:
             if nxt[0] is None:
                 if prefix != 0:
                     raise NoPrimitiveError(
-                        f"orbit of grid offset {key} has nonzero total {prefix}"
+                        f"orbit of grid offset {_show_rational(key)} has nonzero"
+                        f" total {_show_rational(prefix)}"
                     )
                 break
             # the accumulated value persists on every grid point up to the
@@ -204,9 +203,8 @@ def interval(a, b, step: Step) -> Dist:
     d = step.d
     n = (b - a) / d
     if n.denominator != 1:
-        raise NoPrimitiveError(
-            f"interval endpoints {a} and {b} are not on the same step-{d} grid"
-        )
+        a, b, d = map(_show_rational, (a, b, d))
+        raise NoPrimitiveError(f"interval endpoints {a} and {b} are not on the same step-{d} grid")
     n = n.numerator
     if n >= 0:
         return Dist._of({a + k * d: d for k in range(n)}, RATIONALS)

@@ -16,13 +16,13 @@ from .dist import (
     FiniteSpace,
     FunTable,
     TestFn,
+    _mix,
     codomain_zero,
     dirac,
     linear_extend,
-    scale_value,
 )
 from .errors import NoDensityError
-from .scalars import RATIONALS, Semiring
+from .scalars import RATIONALS, Semiring, _show_rational
 
 
 def constant_one(semiring: Semiring = RATIONALS) -> TestFn:
@@ -37,10 +37,10 @@ def pair(p: Dist, phi):
     """The integration pairing: sum of p(x)*phi(x) over the support.
 
     phi is a test function defined on all of p's support; its values may
-    be scalars or distributions (the two module shapes in use). The
-    pairing against a globally defined phi is nothing but the linear
-    extension of phi, so that is literally how it is computed; for an
-    empty p it is the zero of phi's codomain (`codomain_zero`).
+    be scalars, distributions or function tables (the module shapes in
+    use). The pairing against a globally defined phi is nothing but the
+    linear extension of phi, so that is literally how it is computed;
+    for an empty p it is the zero of phi's codomain (`codomain_zero`).
     """
     return linear_extend(phi, p)
 
@@ -86,19 +86,19 @@ def density(q: Dist, p: Dist) -> FunTable:
         raise TypeError("density requires matching semirings")
     if sr.inv is None:
         raise NoDensityError(f"{sr.name} scalars have no division")
-    stray = [x for x in q.support() if x not in p]
+    stray = [_show_rational(x, repr) for x in q.support() if x not in p]
     if stray:
-        raise NoDensityError(f"no density: {stray[0]!r} outside the base support")
+        raise NoDensityError(f"no density: {stray[0]} outside the base support")
     table = {x: sr.mul(q[x], sr.inv(c)) for x, c in p.items()}
     return FunTable(FiniteSpace(p.support()), table)
 
 
 def fn_pointwise_mul(phi, psi, semiring: Semiring = RATIONALS) -> TestFn:
-    """Pointwise product of a scalar function with a (scalar- or
-    distribution-valued) function."""
+    """Pointwise product of a scalar function with a function whose values
+    are scalars, distributions or function tables."""
 
     def product(x):
-        return scale_value(semiring, semiring.coerce(phi(x)), psi(x))
+        return _mix([(psi(x), semiring.coerce(phi(x)))], semiring)
 
     return TestFn(product, zero=codomain_zero(psi, semiring))
 

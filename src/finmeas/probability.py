@@ -65,7 +65,7 @@ def condition(p: Dist, event) -> Dist:
 def marginals(j: Dist) -> tuple[Dist, Dist]:
     """Project a distribution over pairs onto its two coordinates."""
     _require_points(
-        j, lambda x: isinstance(x, tuple), "marginals need pair points, got {!r}"
+        j, lambda x: isinstance(x, tuple), "marginals need pair points, got {}"
     )
     return (
         pushforward(lambda xy: xy[0], j),
@@ -93,6 +93,6 @@ def rv_sum(j: Dist) -> Dist:
             and isinstance(x[0], Fraction)
             and isinstance(x[1], Fraction)
         ),
-        "rv_sum needs rational pair points, got {!r}",
+        "rv_sum needs rational pair points, got {}",
     )
     return pushforward(lambda xy: xy[0] + xy[1], j)

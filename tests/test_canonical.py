@@ -22,14 +22,22 @@ from finmeas import (
     BOOLEANS,
     RATIONALS,
     AffineMap,
+    ConditioningError,
     Dist,
     DomainError,
     FiniteSpace,
     Left,
+    NoDensityError,
+    NoPrimitiveError,
+    NormalizationError,
     Right,
     Step,
     biproduct_merge,
     biproduct_split,
+    condition,
+    convolution_power,
+    convolve,
+    density,
     derivative,
     dirac,
     dist_add,
@@ -39,6 +47,8 @@ from finmeas import (
     homothety,
     interval,
     marginals,
+    moment,
+    normalize,
     pair,
     primitive,
     pushforward,
@@ -198,6 +208,36 @@ def test_validation_names_the_first_bad_point_in_point_order():
         translate(Dist({"z": 1, "a": 2, 3: 1}), 1)
 
 
+def test_biproduct_split_names_the_first_untagged_point_in_point_order():
+    for order in (["b", Left("x"), "a"], ["a", Left("x"), "b"]):
+        with pytest.raises(DomainError, match="point 'a' carries no Left/Right tag"):
+            biproduct_split(Dist({x: 1 for x in order}))
+
+
+# a rational past CPython's int-digit limit, which its repr cannot write
+_HUGE = Fraction(1, 10**4400)
+
+OVERSIZED_POINT_ERRORS = {
+    "marginals": (DomainError, lambda: marginals(Dist({_HUGE: 1}))),
+    "rv_sum": (DomainError, lambda: rv_sum(Dist({(_HUGE, "a"): 1}))),
+    "flatten": (TypeError, lambda: flatten(Dist({_HUGE: 1}))),
+    "line calculus": (DomainError, lambda: translate(Dist({(_HUGE, "a"): 1}), 1)),
+    "biproduct_split": (DomainError, lambda: biproduct_split(Dist({_HUGE: 1}))),
+    "density": (NoDensityError, lambda: density(Dist({_HUGE: 1}), Dist({"a": 1}))),
+    "table call": (DomainError, lambda: FunTable(FiniteSpace(["a"]), {"a": 1})(_HUGE)),
+    "interval": (NoPrimitiveError, lambda: interval(0, _HUGE, Step(1))),
+    "primitive": (NoPrimitiveError, lambda: primitive(Dist({_HUGE: 1}), Step(1))),
+}
+
+
+@pytest.mark.parametrize(
+    "error, call", OVERSIZED_POINT_ERRORS.values(), ids=OVERSIZED_POINT_ERRORS.keys()
+)
+def test_an_error_naming_an_oversized_rational_keeps_its_type(error, call):
+    with pytest.raises(error, match="<4401-digit rational>"):
+        call()
+
+
 # -- floats are refused at every public entry point ------------------------
 
 _P = Dist({1: 1, 2: Fraction(1, 2)})
@@ -227,6 +267,35 @@ FLOAT_CALLS = {
 @pytest.mark.parametrize("call", FLOAT_CALLS.values(), ids=FLOAT_CALLS.keys())
 def test_public_entry_points_reject_floats(call):
     with pytest.raises(TypeError):
+        call()
+
+
+# -- documented refusals ------------------------------------------------------
+
+_B = Dist({1: True}, BOOLEANS)
+
+REFUSALS = {
+    "boolean line input": (
+        DomainError, "line calculus needs rational weights", lambda: convolve(_B, _P)),
+    "negative convolution power": (
+        ValueError, "needs k >= 0", lambda: convolution_power(_P, -1)),
+    "negative moment": (ValueError, "natural number", lambda: moment(_P, -1)),
+    "density across semirings": (
+        TypeError, "matching semirings", lambda: density(_B, _P)),
+    "boolean density": (NoDensityError, "no division", lambda: density(_B, _B)),
+    "boolean normalize": (NormalizationError, "no division", lambda: normalize(_B)),
+    "boolean condition": (
+        ConditioningError, "no division", lambda: condition(_B, lambda x: True)),
+    "repeated space element": (
+        ValueError, "duplicate-free", lambda: FiniteSpace(["a", "b", "a"])),
+}
+
+
+@pytest.mark.parametrize(
+    "error, message, call", REFUSALS.values(), ids=REFUSALS.keys()
+)
+def test_refused_inputs_raise_their_documented_error(error, message, call):
+    with pytest.raises(error, match=message):
         call()
 
 

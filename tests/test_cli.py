@@ -126,6 +126,14 @@ def test_joint_and_marginal(capsys, tmp_path):
     assert payload["right"] == json.loads(coin.read_text())
 
 
+def test_joint_of_inputs_whose_total_is_not_one_exits_one(capsys, tmp_path):
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({"points": [{"x": "0", "w": "1/2"}]}))
+    code, out, err = run_cli(capsys, ["joint", "--in", str(half), "--in", str(half)])
+    assert (code, out) == (1, "")
+    assert err == "error: joint needs total-1 inputs\n"
+
+
 def test_primitive_no_solution_exits_one(capsys, tmp_path):
     q = tmp_path / "q.json"
     q.write_text(json.dumps({"points": [{"x": "0", "w": "-1"}, {"x": "1/3", "w": "1"}]}))

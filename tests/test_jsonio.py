@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finmeas import Dist, FiniteSpace, FunTable, Left, ParseError, Right
+from finmeas import BOOLEANS, Dist, FiniteSpace, FunTable, Left, ParseError, Right
 from finmeas.jsonio import (
     dist_from_json,
     dist_to_json,
@@ -92,11 +93,22 @@ def test_duplicate_points_merge_on_decode():
         {"points": [{"x": True, "w": "1"}]},
         {"points": [{"x": {"pair": [False, "a"]}, "w": "1"}]},
         {"points": [{"x": {"L": True}, "w": "1"}]},
+        # json.loads parses this point; decoding it is nested too deeply
+        {"points": [{"x": functools.reduce(lambda x, _: {"L": x}, range(600), "a"), "w": "1"}]},
     ],
 )
 def test_malformed_payloads_rejected(payload):
     with pytest.raises(ParseError):
         dist_from_json(payload)
+
+
+@pytest.mark.parametrize("encode, value, message", [
+    (dist_to_json, Dist({"a": True}, BOOLEANS), "only rational-weighted"),
+    (table_to_json, FunTable(FiniteSpace([("a", 1)]), {("a", 1): 1}), "atoms or rationals"),
+], ids=["boolean-dist", "pair-table-key"])
+def test_encoders_refuse_values_without_a_wire_form(encode, value, message):
+    with pytest.raises(ParseError, match=message):
+        encode(value)
 
 
 def test_table_round_trip():

@@ -262,10 +262,18 @@ EDGE_CONFIGS = (
 )
 
 
+EDGE_ROWS = list(itertools.product(EDGE_CONFIGS, range(1, 6)))
+
+
 def edge_examples(test):
-    """Five generator seeds at each edge config, as explicit examples."""
-    for cfg, seed in itertools.product(EDGE_CONFIGS, range(1, 6)):
-        test = example(cfg=cfg, rng=random.Random(seed))(test)
+    """Five generator seeds at each edge config, as explicit examples.
+
+    A row holds its seed, not a generator: one generator object would be
+    shared by every parametrized law, each continuing the stream the one
+    before it left. The test builds a fresh generator from the seed.
+    """
+    for cfg, seed in EDGE_ROWS:
+        test = example(cfg=cfg, rng=seed)(test)
     return test
 
 
@@ -274,12 +282,33 @@ def edge_examples(test):
 @edge_examples
 @given(cfg=CONFIGS, rng=st.randoms(use_true_random=False))
 def test_law_holds_on_hypothesis_draws(name, cfg, rng):
+    if isinstance(rng, int):  # an explicit row's seed
+        rng = random.Random(rng)
     entry = LAWS[name]
     drawn = entry.draw(rng, cfg)
     for key in WIDER_INPUTS.get(name, ()):
         drawn[key] = WIDE_DIST(rng, cfg, entry.semiring, drawn)
     failure = entry.check(drawn)
     assert failure is None, failure
+
+
+def test_every_law_starts_its_explicit_rows_at_their_seeds(monkeypatch):
+    firsts = []
+
+    def first(rng, cfg, sr, drawn):
+        if type(rng) is random.Random:  # an explicit row, not a Hypothesis draw
+            firsts.append(rng.random())
+        return Fraction(0)
+
+    def probe(u=first):
+        yield "u = u", u, u
+
+    monkeypatch.setitem(LAWS, "probe", Law("probe", "a probe", probe))
+    expected = sorted(random.Random(seed).random() for _, seed in EDGE_ROWS)
+    for _ in range(2):  # the second run stands for the next law in the list
+        firsts.clear()
+        test_law_holds_on_hypothesis_draws("probe")
+        assert sorted(firsts) == expected
 
 
 def test_generic_bodies_use_their_inputs_semiring(monkeypatch):

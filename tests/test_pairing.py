@@ -9,6 +9,8 @@ from finmeas import (
     BOOLEANS,
     Dist,
     DomainError,
+    FiniteSpace,
+    FunTable,
     NoDensityError,
     Step,
     TestFn,
@@ -25,6 +27,7 @@ from finmeas import (
     pair,
     pushforward,
     semantics,
+    structure_map,
     total,
 )
 from finmeas.strength import extend_1linear_via_strength, extend_2linear_via_strength
@@ -209,3 +212,12 @@ def test_pairing_total_corollary():
     p = Dist({"a": 2, "b": -1})
     phi = table({"a": Fraction(1, 2), "b": 3})
     assert pair(p, phi) == total(fn_action(p, phi)) == Fraction(-2)
+
+
+def test_pairing_with_table_values_mixes_the_tables_pointwise():
+    dom = FiniteSpace(["a", "b"])
+    p = Dist({"u": 2, "v": Fraction(-1, 2)})
+    tables = {"u": FunTable(dom, {"a": 1, "b": 0}), "v": FunTable(dom, {"a": 4, "b": 6})}
+    phi = tables.__getitem__
+    assert pair(p, phi) == structure_map(pushforward(phi, p))
+    assert pair(p, phi) == FunTable(dom, {"a": 0, "b": -3})

@@ -192,6 +192,25 @@ def test_structure_map_names_the_first_bad_point_in_point_order():
             structure_map(Dist({x: 1 for x in order}))
 
 
+def test_a_table_mixture_whose_tables_disagree_in_shape_is_a_type_error():
+    dom = FiniteSpace(("a", "b"))
+    g = FunTable(dom, {"a": dirac("x"), "b": Fraction(1)})
+    h = FunTable(dom, {"a": Fraction(2), "b": Fraction(3)})
+    for order in ((g, h), (h, g)):
+        with pytest.raises(TypeError, match="mixes distribution values with scalar values"):
+            structure_map(Dist([(t, 1) for t in order]))
+
+
+def test_a_table_among_scalars_is_named_whatever_the_insertion_order():
+    g = FunTable(FiniteSpace(("a",)), {"a": Fraction(1)})
+    for order in permutations([g, Fraction(1)]):
+        with pytest.raises(TypeError, match=re.escape(f"cannot use {g!r}")):
+            structure_map(Dist([(x, 1) for x in order]))
+    for order in permutations([g, "x"]):
+        with pytest.raises(ValueError, match="not a rational literal: 'x'"):
+            structure_map(Dist([(x, 1) for x in order]))
+
+
 @given(nested_dists())
 def test_flatten_is_linear_predicate(pp):
     lhs, rhs = _mixing(flatten, Dist({pp: 1}))

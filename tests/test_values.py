@@ -26,6 +26,7 @@ from finmeas import (
     UnitError,
     UnitTagged,
 )
+from finmeas.dist import point_key
 
 HALF = Fraction(1, 2)
 
@@ -196,3 +197,13 @@ def test_constructors_canonicalize_and_validate():
         UnitTagged(0, Dist({"a": 1}))
     with pytest.raises(UnitError):
         UnitTagged(True, Dist({"a": True}, BOOLEANS))
+
+
+def test_tables_of_one_function_are_equal_whatever_their_domain_order():
+    mapping = {"a": HALF, "b": Fraction(2)}
+    t = FunTable(FiniteSpace(["a", "b"]), mapping)
+    u = FunTable(FiniteSpace(["b", "a"]), mapping)
+    assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
+    assert t.domain == u.domain == FiniteSpace(["a", "b"])
+    assert len(Dist([(t, 1), (u, 2)])) == 1
+    assert point_key(t) == point_key(u)
