@@ -6,6 +6,8 @@ string atoms, pairs, Left/Right tagged points, nested Dist values
 (needed for mixtures of mixtures), and function tables. The universe is
 totally ordered, rationals < atoms < pairs < Left < Right < distributions
 < tables, so every distribution iterates and prints deterministically.
+Tags, distributions and tables are canonical from construction, so
+`as_point` walks only numbers, atoms and pairs.
 
 Construction contract: a zero weight can only come from a sum, so zeros
 are dropped in exactly one place, `_accumulate`, which every summing
@@ -26,8 +28,10 @@ zero either, and by the law suite's `dist` draw spec.
 
 One weighted sum: `_mix` sums (module element, weight) pairs in the
 module the elements live in, distributions through `_accumulate`,
-function tables pointwise and scalars with `sum`. flatten, the linear
-extension (so the pairing, the moments, `eval_at_eta` and the
+function tables pointwise and scalars with `sum`. It alone decides a
+sum's rig, since a distribution summed must be over the weights'
+semiring, and its zero, since `zero_like(v, sr)` is 0*v. flatten, the
+linear extension (so the pairing, the moments, `eval_at_eta` and the
 `extend_*` builders) and `structure_map` sum through it here, and so do
 the test-function helpers `line.fn_derivative` and
 `pairing.fn_pointwise_mul`, the only importers outside this module.
@@ -37,7 +41,8 @@ values unless it says otherwise; its values may be scalars,
 distributions or function tables. A FunTable's codomain is read off its
 values, and a TestFn declares its codomain's zero (`TestFn.dist_valued`
 for distribution values). `codomain_zero` alone works that zero out,
-and the linear extension of f over the empty distribution returns it.
+as `zero_like` of a table's value, and the linear extension of f over
+the empty distribution returns it.
 """
 
 from __future__ import annotations
@@ -51,12 +56,14 @@ from .scalars import RATIONALS, FrozenValue, Semiring, _show_rational
 
 
 class _Tagged(FrozenValue):
-    """A point tagged with the side of a biproduct it belongs to."""
+    """A point tagged with the side of a biproduct it belongs to.
+
+    The value is stored canonical, so a built tag is already a point."""
 
     __slots__ = _fields = ("value",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", as_point(value))
 
     # Spelled out rather than inherited: every Dist over tagged points
     # hashes and compares its points, and the generic field loop costs
@@ -302,6 +309,9 @@ class Dist(FrozenValue):
 # key within the rank and its display form in a Dist's repr. Any other
 # class takes the entry of the first class in its MRO that is in the
 # table: bool goes through int, and a tuple subclass becomes a pair.
+# A built tag, Dist or table is already canonical, so their
+# canonicalizers return it as is; a subclass of a tag becomes the plain
+# tag.
 
 _Kind = namedtuple("_Kind", "rank canon key show")
 
@@ -332,16 +342,12 @@ def _pair(x):
     return x if a is x[0] and b is x[1] and x.__class__ is tuple else (a, b)
 
 
-def _tag(tag):
-    def canon(x):
-        v = as_point(x.value)
-        return x if v is x.value and x.__class__ is tag else tag(v)
-
-    return canon
-
-
 def _show_pair(x):
     return f"({_show_point(x[0])}, {_show_point(x[1])})"
+
+
+def _tag_key(x):
+    return point_key(x.value)
 
 
 def _show_tag(x):
@@ -362,8 +368,8 @@ _KINDS = {
     # str.__str__, not str(): a subclass may override __str__
     str: _Kind(1, _exact(str, str.__str__), _same, repr),
     tuple: _Kind(2, _pair, lambda x: (point_key(x[0]), point_key(x[1])), _show_pair),
-    Left: _Kind(3, _tag(Left), lambda x: point_key(x.value), _show_tag),
-    Right: _Kind(4, _tag(Right), lambda x: point_key(x.value), _show_tag),
+    Left: _Kind(3, _exact(Left, lambda x: Left(x.value)), _tag_key, _show_tag),
+    Right: _Kind(4, _exact(Right, lambda x: Right(x.value)), _tag_key, _show_tag),
     Dist: _Kind(5, _same, _dist_key, repr),
     FunTable: _Kind(6, _same, _table_key, repr),
 }
@@ -457,19 +463,20 @@ def pushforward(f, p: Dist) -> Dist:
     return Dist._of(_accumulate({}, terms, sr), sr)
 
 
+_NOT_DISTS = "flatten needs Dist-valued points, got {}"
+
+
 def flatten(pp: Dist) -> Dist:
     """Monad multiplication: evaluate a mixture of distributions.
 
     Every support point of pp must itself be a Dist over pp's semiring;
-    the result is the weighted sum of the inner distributions. A point
-    that is not a Dist is named first in point order.
+    the result is the weighted sum of the inner distributions (`_mix`).
+    A point that is not a Dist is named first in point order.
     """
-    sr = pp.semiring
-    _require_points(pp, _is_dist, "flatten needs Dist-valued points, got {}", TypeError)
+    _require_points(pp, _is_dist, _NOT_DISTS, TypeError)
     if not pp._w:
-        return Dist.empty(sr)
-    _same_semiring(pp, next(iter(pp._w)))  # `_mix` holds the rest to the first
-    return _mix(list(pp._w.items()), sr)
+        return Dist.empty(pp.semiring)
+    return _mix(list(pp._w.items()), pp.semiring)
 
 
 def _is_dist(x) -> bool:
@@ -538,26 +545,27 @@ def _mix(values: list, sr: Semiring):
     """The sum of c*v over a nonempty list of (module element v, weight c)
     pairs, with the weights scalars of `sr`.
 
-    The first element names the module. Distributions sum through
-    `_accumulate`, in their own semiring, and a zero weight adds nothing;
-    function tables, if all the elements are, mix pointwise over their
-    one domain; anything else is a scalar of `sr`. A distribution among
-    elements that are not, or the other way round, is a TypeError. Every
-    element is checked before any is summed; the scalar sum does that in
-    its one pass, as `coerce` refuses a distribution or a table.
+    This is the one place a sum's module and rig are decided. The first
+    element names the module. Distributions must be over `sr` itself and
+    sum through `_accumulate`, where a zero weight adds nothing; function
+    tables, if all the elements are, mix pointwise over their one domain;
+    anything else is a scalar of `sr`. A distribution among elements that
+    are not, or the other way round, is a TypeError, and so is a
+    distribution over another rig. Every element is checked before any
+    is summed; the scalar sum does that in its one pass, as `coerce`
+    refuses a distribution or a table.
     """
     head = values[0][0]
     if isinstance(head, Dist):
         for v, _ in values:
             if not isinstance(v, Dist):
                 raise TypeError(_MIXED_VALUES)
-            _same_semiring(head, v)
-        vsr = head.semiring
-        mul, coerce, zero = vsr.mul, vsr.coerce, vsr.zero
+            if v.semiring.name != sr.name:
+                raise TypeError(f"mixed scalar semirings: {sr.name} vs {v.semiring.name}")
+        mul, zero = sr.mul, sr.zero
         # the weights left are nonzero, and so are their products
-        scaled = [(coerce(c), v._w) for v, c in values]
-        terms = [(y, mul(c, w)) for c, v in scaled if c != zero for y, w in v.items()]
-        return Dist._of(_accumulate({}, terms, vsr), vsr)
+        terms = [(y, mul(c, w)) for v, c in values if c != zero for y, w in v._w.items()]
+        return Dist._of(_accumulate({}, terms, sr), sr)
     if isinstance(head, FunTable) and all(isinstance(t, FunTable) for t, _ in values):
         domain = head.domain
         if any(t.domain != domain for t, _ in values):
@@ -572,10 +580,9 @@ def _mix(values: list, sr: Semiring):
         raise
 
 
-def zero_like(v, sr: Semiring = RATIONALS):
-    if isinstance(v, Dist):
-        return Dist.empty(v.semiring)
-    return sr.zero
+def zero_like(v, sr: Semiring):
+    """0*v: the zero of the module v lives in, with scalars in `sr`."""
+    return _mix([(v, sr.zero)], sr)
 
 
 # -- test functions ----------------------------------------------------------
@@ -610,7 +617,7 @@ class TestFn:
         return self.fn(*args)
 
 
-def codomain_zero(f, sr: Semiring = RATIONALS):
+def codomain_zero(f, sr: Semiring):
     """The zero of f's codomain: a TestFn's declared zero, the zero that
     matches a FunTable's values, or else the scalar zero of `sr`."""
     if isinstance(f, TestFn):
@@ -657,31 +664,32 @@ def fn_action(p: Dist, phi) -> Dist:
 def structure_map(d: Dist, zero=None):
     """Evaluate a distribution over module elements down to one element.
 
-    Dist-valued points mix by flatten; scalar points take the weighted
-    sum of the points themselves; function tables mix pointwise (the
+    The points must all lie in one module, and the result is their
+    weighted sum there (`_mix`): Dist-valued points mix as flatten does,
+    scalar points sum as scalars, and function tables mix pointwise (the
     canonical algebra on a function space). An empty distribution names
     no module, so its result is the caller's `zero`.
 
-    The first point in point order names the module. An error for a
-    point outside it names the first such point in point order, and
-    only that error path sorts the support.
+    An error names the first point in point order that lies outside the
+    module of the first point in point order; a mixture of tables that
+    cannot be mixed keeps `_mix`'s own error. Only that error path sorts
+    the support.
     """
     if d.is_empty():
         if zero is None:
             raise ValueError("structure_map of empty distribution needs zero=")
         return zero
-    points, sr = d._w, d.semiring
-    # the point table (`_KINDS`) ranks every other point before
-    # distributions, and distributions before tables
-    if all(isinstance(x, FunTable) for x in points):
-        return _mix(list(points.items()), sr)
-    if all(isinstance(x, (Dist, FunTable)) for x in points):
-        return flatten(d)
     try:
-        return _mix(list(points.items()), sr)
+        return _mix(list(d._w.items()), d.semiring)
     except (TypeError, ValueError):
-        for x in d.support():
-            sr.coerce(x)  # raises for the first bad point in point order
+        # the point table (`_KINDS`) ranks every other point before
+        # distributions, and distributions before tables
+        first = d.support()[0]
+        if isinstance(first, Dist):
+            _require_points(d, _is_dist, _NOT_DISTS, TypeError)
+        elif not isinstance(first, FunTable):
+            for x in d.support():
+                d.semiring.coerce(x)  # raises for the first bad point in point order
         raise
 
 

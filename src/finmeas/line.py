@@ -76,6 +76,7 @@ def convolve(p: Dist, q: Dist) -> Dist:
 
 
 def convolution_power(p: Dist, k: int) -> Dist:
+    _require_line(p)  # even for k = 0, where no convolve checks p
     if k < 0:
         raise ValueError("convolution power needs k >= 0")
     acc = dirac(Fraction(0))

@@ -272,6 +272,19 @@ def test_dist_valued_linear_extend_rejects_mixed_semirings():
         linear_extend(f, p)
 
 
+def test_distribution_values_must_share_the_weights_semiring():
+    # a rational distribution weighted by a boolean is no boolean module
+    # element: the linear extension refuses it, as flatten does
+    mixture = Dist({Dist({"a": Fraction(1, 2)}): True}, BOOLEANS)
+    for route in (
+        flatten,
+        lambda m: linear_extend(lambda d: d, m),
+        lambda m: pair(m, TestFn.dist_valued(lambda d: d)),
+    ):
+        with pytest.raises(TypeError, match="mixed scalar semirings: boolean vs rational"):
+            route(mixture)
+
+
 def test_flatten_rejects_a_point_that_is_not_a_distribution():
     pp = Dist({Dist({"a": 1}): 2, "b": 1, Dist({"b": 1}): 1})
     with pytest.raises(TypeError, match="flatten needs Dist-valued points, got 'b'"):

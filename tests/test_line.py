@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from finmeas import (
+    BOOLEANS,
     AffineMap,
     Dist,
     DomainError,
@@ -59,6 +60,18 @@ def test_convolution_unit(d6):
 def test_convolution_rejects_atoms():
     with pytest.raises(DomainError):
         convolve(Dist({"a": 1}), dirac(Fraction(0)))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize(
+    "p", [Dist({"a": 1}), Dist({Fraction(1): True}, BOOLEANS)], ids=["atom", "boolean"]
+)
+def test_convolution_power_checks_its_input_for_every_k(p, k):
+    # k = 0 makes no convolve, so the power checks p itself, as moment does
+    with pytest.raises(DomainError):
+        convolution_power(p, k)
+    with pytest.raises(DomainError):
+        moment(p, 0)
 
 
 def test_moment_examples(d6):

@@ -93,6 +93,12 @@ CODOMAINS = {
         Dist.empty(),
     ),
     "scalar callable": (lambda x: Fraction(2), lambda x, y: Fraction(3), Fraction(0)),
+    # the zero of a table of tables is the zero table, not the scalar zero
+    "table-valued table": (
+        table({"a": table({"u": 1, "v": 2}), "b": table({"u": -1, "v": 0})}),
+        TestFn(lambda x, y: table({"u": 3, "v": 1}), zero=table({"u": 0, "v": 0})),
+        table({"u": 0, "v": 0}),
+    ),
 }
 
 

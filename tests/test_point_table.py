@@ -150,6 +150,12 @@ class Ratio(Fraction):
     """A Fraction subclass; as a point it is a plain Fraction."""
 
 
+class Side(Left):
+    """A Left subclass; as a point it is a plain Left."""
+
+    __slots__ = ()
+
+
 _LEAVES = st.one_of(
     small_fractions(),
     small_fractions().map(Ratio),
@@ -276,6 +282,22 @@ def test_subclasses_become_their_kind():
     assert as_point(Pair((1, "a"))).__class__ is tuple
     assert as_point(Atom("a")).__class__ is str and as_point(Atom("a")) == "a"
     assert point_to_json(Atom("a")) == "a"
+
+
+@given(POINTS)
+def test_a_built_tag_is_already_its_point(x):
+    for tag in (Left, Right):
+        t = tag(x)
+        assert as_point(t) is t
+        assert as_point(t.value) is t.value
+    side = as_point(Side(x))
+    assert side.__class__ is Left and side == Left(x)
+
+
+def test_a_tag_refuses_a_value_outside_the_universe_when_built():
+    floats = "floats are not exact; use Fraction or a 'p/q' string"
+    assert _outcome(Left, 1.5) == (TypeError, floats)
+    assert _outcome(Right, [1]) == (TypeError, "[1] is not in the point universe")
 
 
 def test_points_outside_the_universe_keep_their_errors():
