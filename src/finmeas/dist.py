@@ -58,12 +58,16 @@ from .scalars import RATIONALS, FrozenValue, Semiring, _show_rational
 class _Tagged(FrozenValue):
     """A point tagged with the side of a biproduct it belongs to.
 
-    The value is stored canonical, so a built tag is already a point."""
+    The value is stored canonical, so a built tag is already a point. Its
+    hash is computed once, from the canonical value, and kept in `_hash`."""
 
-    __slots__ = _fields = ("value",)
+    _fields = ("value",)
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", as_point(value))
+        value = as_point(value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash((value,)))
 
     # Spelled out rather than inherited: every Dist over tagged points
     # hashes and compares its points, and the generic field loop costs
@@ -74,7 +78,7 @@ class _Tagged(FrozenValue):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value,))
+        return self._hash
 
 
 class Left(_Tagged):
@@ -431,13 +435,15 @@ def _accumulate(acc: dict, terms, sr: Semiring) -> dict:
 
 
 def _sum_list(values: list, sr: Semiring):
-    """`sr.sum(values)` for a nonempty list. A short list skips the n-ary
-    sum's set-up: one value is its own sum, and two take a single add."""
-    if len(values) > 2:
+    """`sr.sum(values)`. A short list skips the n-ary sum's set-up: no
+    value sums to zero, one value is its own sum, and two take a single
+    add."""
+    n = len(values)
+    if n > 2:
         return sr.sum(values)
-    if len(values) == 2:
+    if n == 2:
         return sr.add(*values)
-    return values[0]
+    return values[0] if n else sr.zero
 
 
 def _same_semiring(p: Dist, q: Dist) -> Semiring:
@@ -549,11 +555,12 @@ def _mix(values: list, sr: Semiring):
     element names the module. Distributions must be over `sr` itself and
     sum through `_accumulate`, where a zero weight adds nothing; function
     tables, if all the elements are, mix pointwise over their one domain;
-    anything else is a scalar of `sr`. A distribution among elements that
-    are not, or the other way round, is a TypeError, and so is a
-    distribution over another rig. Every element is checked before any
-    is summed; the scalar sum does that in its one pass, as `coerce`
-    refuses a distribution or a table.
+    anything else is a scalar of `sr`, where a zero weight adds no product
+    either. A distribution among elements that are not, or the other way
+    round, is a TypeError, and so is a distribution over another rig.
+    Every element is checked before any is summed; the scalar sum
+    coerces every value, whatever its weight, before its first product,
+    as `coerce` refuses a distribution or a table.
     """
     head = values[0][0]
     if isinstance(head, Dist):
@@ -571,9 +578,10 @@ def _mix(values: list, sr: Semiring):
         if any(t.domain != domain for t, _ in values):
             raise DomainError("cannot mix tables over different domains")
         return FunTable(domain, {x: _mix([(t(x), c) for t, c in values], sr) for x in domain})
-    mul, coerce = sr.mul, sr.coerce
+    mul, coerce, zero = sr.mul, sr.coerce, sr.zero
     try:
-        return _sum_list([mul(c, coerce(v)) for v, c in values], sr)
+        scalars = [(coerce(v), c) for v, c in values]
+        return _sum_list([mul(c, x) for x, c in scalars if c != zero], sr)
     except TypeError:
         if any(isinstance(v, Dist) for v, _ in values):
             raise TypeError(_MIXED_VALUES) from None

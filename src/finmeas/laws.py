@@ -437,6 +437,15 @@ def _scalar_field_laws(a=scalar(nonzero=False), b=scalar(nonzero=False),
     yield "a-a = 0", sr.sub(a, a), sr.zero
     if a != 0:
         yield "a * (1/a) = 1", sr.mul(a, sr.inv(a)), sr.one
+    # The integer kernels against Fraction's own operators, the generic
+    # route. Fraction's == compares numerator and denominator, so it
+    # refuses an unreduced result or a negative denominator.
+    yield "add is Fraction +", sr.add(a, b), a + b
+    yield "mul is Fraction *", sr.mul(a, b), a * b
+    yield "neg is Fraction -", sr.neg(a), -a
+    yield "sum is Fraction +", sr.sum([a, b, c]), a + b + c
+    if a != 0:
+        yield "inv is Fraction 1/", sr.inv(a), 1 / a
 
 
 @law("boolean_rig_laws",

@@ -29,9 +29,10 @@ from .dist import (
 )
 from .errors import DomainError, NoPrimitiveError, NormalizationError
 from .pairing import pair
-from .scalars import RATIONALS, FrozenValue, _show_rational
+from .scalars import RATIONALS, FrozenValue, _q, _show_rational
 
 _rational = RATIONALS.coerce
+_add, _mul = RATIONALS.add, RATIONALS.mul
 
 
 def _require_line(p: Dist) -> Dist:
@@ -72,7 +73,7 @@ def convolve(p: Dist, q: Dist) -> Dist:
     under (x, y) -> x + y."""
     _require_line(p)
     _require_line(q)
-    return pushforward(lambda xy: xy[0] + xy[1], tensor(p, q))
+    return pushforward(lambda xy: _add(xy[0], xy[1]), tensor(p, q))
 
 
 def convolution_power(p: Dist, k: int) -> Dist:
@@ -90,7 +91,8 @@ def moment(p: Dist, n: int) -> Fraction:
     _require_line(p)
     if n < 0:
         raise ValueError("moment order must be a natural number")
-    return pair(p, lambda x: x**n)
+    # x**n of a canonical x is canonical: coprime powers stay coprime
+    return pair(p, lambda x: _q(x.numerator ** n, x.denominator ** n))
 
 
 def expectation(p: Dist) -> Fraction:
@@ -113,12 +115,12 @@ def expectation_as_mu(p: Dist) -> Fraction:
 
 def translate(p: Dist, a) -> Dist:
     a = _rational(a)
-    return pushforward(lambda x: x + a, _require_line(p))
+    return pushforward(lambda x: _add(x, a), _require_line(p))
 
 
 def homothety(p: Dist, b) -> Dist:
     b = _rational(b)
-    return pushforward(lambda x: b * x, _require_line(p))
+    return pushforward(lambda x: _mul(b, x), _require_line(p))
 
 
 def center_of_gravity(p: Dist) -> Fraction:

@@ -95,4 +95,4 @@ def rv_sum(j: Dist) -> Dist:
         ),
         "rv_sum needs rational pair points, got {}",
     )
-    return pushforward(lambda xy: xy[0] + xy[1], j)
+    return pushforward(lambda xy: RATIONALS.add(xy[0], xy[1]), j)

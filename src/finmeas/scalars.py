@@ -1,9 +1,13 @@
 """Exact scalar semirings.
 
 Two instances are provided: the rational field (the main coefficient
-domain, backed by fractions.Fraction, which already keeps values in
-canonical reduced form with positive denominator) and the boolean rig
-(a genericity witness with no negation and no subtraction).
+domain) and the boolean rig (a genericity witness with no negation and
+no subtraction). Rationals are fractions.Fraction values in canonical
+reduced form with positive denominator. The rational operations are
+integer kernels: each reads its operands' numerators and denominators,
+does the textbook cross-gcd on ints, and builds its one canonical
+result with `_q`, skipping Fraction's operator dispatch and the gcd of
+its constructor.
 """
 
 from __future__ import annotations
@@ -169,6 +173,11 @@ class Semiring(FrozenValue):
     routine with the same results: the rationals sum over one common
     denominator with integer arithmetic.
 
+    The rational `add`, `mul`, `neg`, `inv` and `sum` are integer
+    kernels that give exactly what Fraction's operators give on the same
+    values, and always a Fraction: an int or bool operand is read as the
+    rational it names, so `RATIONALS.add(1, 2)` is `Fraction(3, 1)`.
+
     Precondition: no zero divisors, i.e. mul(a, b) == zero only when
     a == zero or b == zero. Distributions rely on it to build products
     of nonzero weights (tensor, the strengths, flatten's terms) without
@@ -207,8 +216,9 @@ class Semiring(FrozenValue):
 
     def __reduce__(self):
         # The module-level semirings copy and pickle by name, so they come
-        # back as the same object (their operations are lambdas, which
-        # pickle cannot serialize). Other instances copy field by field.
+        # back as the same object (the boolean operations are lambdas,
+        # which pickle cannot serialize). Other instances copy field by
+        # field.
         for name, value in globals().items():
             if value is self:
                 return name
@@ -222,6 +232,84 @@ def _fold(add, zero, values):
     return acc
 
 
+_new = object.__new__
+
+
+def _q(n: int, d: int) -> Fraction:
+    """The trusted constructor: the Fraction n/d, for coprime ints n and
+    d > 0, with no check and no gcd.
+
+    It sets the two slots `_numerator` and `_denominator` that every
+    CPython Fraction from 3.10 to 3.13 has, and that its own arithmetic
+    reads; the CI runs the kernel test on each of those versions.
+    """
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+# Each kernel reads a Fraction's two slots directly; an int or a bool has
+# no slots and falls back to its numerator and denominator, so it comes
+# back as a Fraction too. The try costs next to nothing when no exception
+# is raised.
+
+
+def _rational_add(a, b) -> Fraction:
+    """a + b, as Fraction's own `_add` computes it (Knuth's cross-gcd),
+    with the result built once."""
+    try:
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    except AttributeError:
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _rational_mul(a, b) -> Fraction:
+    """a * b: each numerator is reduced against the other denominator
+    first, so the product needs no gcd of its own."""
+    try:
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    except AttributeError:
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q(na * nb, da * db)
+
+
+def _rational_neg(a) -> Fraction:
+    try:
+        return _q(-a._numerator, a._denominator)
+    except AttributeError:
+        return _q(-a.numerator, a.denominator)
+
+
+def _rational_inv(a) -> Fraction:
+    try:
+        n, d = a._numerator, a._denominator
+    except AttributeError:
+        n, d = a.numerator, a.denominator
+    if n > 0:
+        return _q(d, n)
+    if n < 0:
+        return _q(-d, -n)
+    raise ZeroDivisionError("rational inverse of zero")
+
+
 def _rational_sum(values) -> Fraction:
     """The exact sum of rationals (or ints) as one canonical Fraction.
 
@@ -232,7 +320,10 @@ def _rational_sum(values) -> Fraction:
     """
     n, d = 0, 1
     for v in values:
-        vn, vd = v.numerator, v.denominator
+        try:
+            vn, vd = v._numerator, v._denominator
+        except AttributeError:
+            vn, vd = v.numerator, v.denominator
         if vd == d:
             n += vn
         else:
@@ -244,23 +335,18 @@ def _rational_sum(values) -> Fraction:
                 vn *= d
             n = n * vd + vn
             d *= vd
-    return Fraction(n, d)
-
-
-def _rational_inv(a: Fraction) -> Fraction:
-    if a == 0:
-        raise ZeroDivisionError("rational inverse of zero")
-    return 1 / Fraction(a)
+    g = gcd(n, d)
+    return _q(n // g, d // g)
 
 
 RATIONALS = Semiring(
     name="rational",
     zero=Fraction(0),
     one=Fraction(1),
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
+    add=_rational_add,
+    mul=_rational_mul,
     coerce=_coerce_rational,
-    neg=lambda a: -a,
+    neg=_rational_neg,
     inv=_rational_inv,
     sum=_rational_sum,
 )

@@ -10,7 +10,10 @@ from finmeas import (
     FiniteSpace,
     FunTable,
     Left,
+    ParseError,
+    RATIONALS,
     Right,
+    Semiring,
     TestFn,
     biproduct_merge,
     biproduct_split,
@@ -23,9 +26,9 @@ from finmeas import (
     scale,
     total,
 )
-from finmeas.dist import as_point
+from finmeas.dist import _mix, as_point, zero_like
 
-from .conftest import atom_dists, bool_dists, small_fractions
+from .conftest import atom_dists, bool_dists, small_fractions, table
 
 
 def test_dirac_is_a_unit_mass():
@@ -152,6 +155,28 @@ def test_weight_lookup_defaults_to_zero():
 def test_biproduct_tag_partition():
     p = Dist({Left("a"): 1, Right("b"): 2})
     assert biproduct_split(p) == (Dist({"a": 1}), Dist({"b": 2}))
+
+
+def _no_products(a, b):
+    raise AssertionError("a zero weight must not be multiplied")
+
+
+def test_zero_weights_add_no_scalar_product():
+    sr = Semiring("rational", Fraction(0), Fraction(1), RATIONALS.add, _no_products,
+                  RATIONALS.coerce)
+    assert zero_like(Fraction(3), sr) is sr.zero
+    assert _mix([(Fraction(2), sr.zero), (5, Fraction(0))], sr) is sr.zero
+    assert zero_like(Fraction(3), RATIONALS) is RATIONALS.zero
+    assert zero_like(True, BOOLEANS) is BOOLEANS.zero
+    # every value is still coerced, so a bad one keeps its error
+    with pytest.raises(ParseError, match=r"not a rational literal: 'a'\Z"):
+        zero_like("a", RATIONALS)
+    with pytest.raises(ParseError, match=r"not a rational literal: 'a'\Z"):
+        _mix([(Fraction(1), Fraction(1)), ("a", Fraction(0))], RATIONALS)
+    # the zero table and the empty distribution are as before
+    assert zero_like(table({"u": 1, "v": Fraction(2, 3)}), RATIONALS) == table({"u": 0, "v": 0})
+    assert zero_like(Dist({"a": 1}), RATIONALS) == Dist.empty()
+    assert zero_like(Dist({"a": True}, BOOLEANS), BOOLEANS) == Dist.empty(BOOLEANS)
 
 
 def test_biproduct_zero_object():

@@ -190,3 +190,45 @@ def test_rational_sum_examples():
 @given(st.lists(st.booleans(), max_size=8))
 def test_boolean_sum_is_the_fold_of_or(values):
     assert BOOLEANS.sum(values) is any(values)
+
+
+# -- the rational kernels against Fraction's own operators ------------------
+
+BIG = 10 ** 50
+
+OPERANDS = st.one_of(
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.integers(-BIG, BIG),
+    st.booleans(),
+    st.just(Fraction(0)),
+)
+
+
+def assert_same_rational(result, expected):
+    # ints, not str: str is subject to the int-digit limit
+    assert type(result) is Fraction
+    assert result.numerator == expected.numerator
+    assert result.denominator == expected.denominator
+    assert hash(result) == hash(expected)
+
+
+@given(OPERANDS, OPERANDS)
+def test_rational_kernels_give_what_fraction_operators_give(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert_same_rational(RATIONALS.add(a, b), fa + fb)
+    assert_same_rational(RATIONALS.mul(a, b), fa * fb)
+    assert_same_rational(RATIONALS.neg(a), -fa)
+    assert_same_rational(RATIONALS.sum([a, b, a]), fa + fb + fa)
+    if fa != 0:
+        assert_same_rational(RATIONALS.inv(a), 1 / fa)
+
+
+def test_rational_kernels_return_fractions_for_int_operands():
+    assert repr(RATIONALS.add(1, 2)) == "Fraction(3, 1)"
+    assert repr(RATIONALS.mul(True, 3)) == "Fraction(3, 1)"
+    assert repr(RATIONALS.neg(0)) == "Fraction(0, 1)"
+    assert repr(RATIONALS.inv(-2)) == "Fraction(-1, 2)"
+    assert repr(RATIONALS.sum([1, 2])) == "Fraction(3, 1)"
+    for zero in (Fraction(0), 0, False):
+        with pytest.raises(ZeroDivisionError):
+            RATIONALS.inv(zero)
