@@ -21,7 +21,7 @@ from .dist import (
     dist_sub,
     flatten,
     fn_action,
-    linear_extend,
+    pair,
     pushforward,
     scale,
     strength_left,
@@ -64,7 +64,6 @@ from .pairing import (
     density,
     eval_at_eta,
     fn_pointwise_mul,
-    pair,
     semantics,
 )
 from .probability import (

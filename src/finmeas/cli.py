@@ -17,11 +17,10 @@ import re
 import sys
 from collections import namedtuple
 
-from .dist import tensor, total
+from .dist import pair, tensor, total
 from .errors import FinmeasError, ParseError
 from .jsonio import dist_from_json, dist_to_json, table_from_json
 from .line import Step, convolve, derivative, expectation, interval, moment, primitive
-from .pairing import pair
 from .probability import condition, is_event_table, is_probability, marginals
 from .scalars import format_rational, parse_rational
 

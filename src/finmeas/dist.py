@@ -30,19 +30,20 @@ One weighted sum: `_mix` sums (module element, weight) pairs in the
 module the elements live in, distributions through `_accumulate`,
 function tables pointwise and scalars with `sum`. It alone decides a
 sum's rig, since a distribution summed must be over the weights'
-semiring, and its zero, since `zero_like(v, sr)` is 0*v. flatten, the
-linear extension (so the pairing, the moments, `eval_at_eta` and the
-`extend_*` builders) and `structure_map` sum through it here, and so do
-the test-function helpers `line.fn_derivative` and
-`pairing.fn_pointwise_mul`, the only importers outside this module.
+semiring, and its zero, since `zero_like(v, sr)` is 0*v. Two functions
+sum through it here: `pair`, the linear extension (so the pairing, the
+moments, `eval_at_eta` and the `extend_*` builders), and
+`structure_map`, of which `flatten` is the case of distributions. The
+test-function helpers `line.fn_derivative` and
+`pairing.fn_pointwise_mul` are the only importers outside this module.
 
 Test functions: a test function is any callable on points, with scalar
 values unless it says otherwise; its values may be scalars,
 distributions or function tables. A FunTable's codomain is read off its
 values, and a TestFn declares its codomain's zero (`TestFn.dist_valued`
 for distribution values). `codomain_zero` alone works that zero out,
-as `zero_like` of a table's value, and the linear extension of f over
-the empty distribution returns it.
+as `zero_like` of a table's value, and `pair` of the empty
+distribution with f returns it.
 """
 
 from __future__ import annotations
@@ -476,13 +477,12 @@ def flatten(pp: Dist) -> Dist:
     """Monad multiplication: evaluate a mixture of distributions.
 
     Every support point of pp must itself be a Dist over pp's semiring;
-    the result is the weighted sum of the inner distributions (`_mix`).
-    A point that is not a Dist is named first in point order.
+    the result is `structure_map` of the free algebra, the weighted sum
+    of the inner distributions, and the empty distribution for an empty
+    pp. A point that is not a Dist is named first in point order.
     """
     _require_points(pp, _is_dist, _NOT_DISTS, TypeError)
-    if not pp._w:
-        return Dist.empty(pp.semiring)
-    return _mix(list(pp._w.items()), pp.semiring)
+    return structure_map(pp, zero=Dist.empty(pp.semiring))
 
 
 def _is_dist(x) -> bool:
@@ -544,7 +544,7 @@ def dist_sub(p: Dist, q: Dist) -> Dist:
 # distribution space, or a space of function tables. `_mix` is the one
 # weighted sum in all three.
 
-_MIXED_VALUES = "linear_extend: f mixes distribution values with scalar values"
+_MIXED_VALUES = "pair: phi mixes distribution values with scalar values"
 
 
 def _mix(values: list, sr: Semiring):
@@ -636,18 +636,20 @@ def codomain_zero(f, sr: Semiring):
     return sr.zero
 
 
-def linear_extend(f, p: Dist):
-    """Linear extension of f over the unit: the weighted sum of f's values.
+def pair(p: Dist, phi):
+    """The integration pairing <p, phi>: the sum of p(x)*phi(x) over p's
+    support. It is also the linear extension of phi along the unit, the
+    one map out of p's module that sends dirac(x) to phi(x).
 
-    f is a test function: it maps points to scalars, distributions or
-    function tables, and the result is the sum of p(x)*f(x) in the
-    matching module (`_mix`). For an empty p that sum is the zero of f's
-    codomain, `codomain_zero(f)`. f's values must all have one shape: a
-    mix of scalars and distributions is a TypeError.
+    phi is a test function defined on all of p's support: it maps points
+    to scalars, distributions or function tables, and the sum is taken in
+    the matching module (`_mix`). For an empty p that sum is the zero of
+    phi's codomain, `codomain_zero(phi)`. phi's values must all have one
+    shape: a mix of scalars and distributions is a TypeError.
     """
     if not p._w:
-        return codomain_zero(f, p.semiring)
-    return _mix([(f(x), c) for x, c in p._w.items()], p.semiring)
+        return codomain_zero(phi, p.semiring)
+    return _mix([(phi(x), c) for x, c in p._w.items()], p.semiring)
 
 
 def fn_action(p: Dist, phi) -> Dist:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dist import Dist, FiniteSpace, FunTable, Left, Right, as_point, point_key
+from .dist import Dist, FiniteSpace, FunTable, Left, Right, as_point
 from .errors import ParseError
 from .scalars import RATIONAL_RE, format_rational, parse_rational
 
@@ -111,5 +111,4 @@ def table_from_json(obj) -> FunTable:
         if x in mapping:
             raise ParseError(f"table key {key!r} repeats the point {point_to_json(x)}")
         mapping[x] = parse_rational(value)
-    domain = FiniteSpace(sorted(mapping, key=point_key))
-    return FunTable(domain, mapping)
+    return FunTable(FiniteSpace(mapping), mapping)

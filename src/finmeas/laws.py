@@ -45,7 +45,7 @@ from .dist import (
     dist_sub,
     flatten,
     fn_action,
-    linear_extend,
+    pair,
     pushforward,
     scale,
     strength_left,
@@ -78,7 +78,6 @@ from .pairing import (
     density,
     eval_at_eta,
     fn_pointwise_mul,
-    pair,
     semantics,
 )
 from .probability import (
@@ -273,7 +272,9 @@ def affine(rng, cfg, sr, drawn) -> AffineMap:
 def poly(rng, cfg, sr, drawn) -> TestFn:
     """A random quadratic as a scalar test function on the line."""
     c0, c1, c2 = (_coefficient(rng, cfg, RATIONALS, drawn) for _ in range(3))
-    return TestFn(lambda x: c0 + c1 * x + c2 * x * x, label=f"{c0} + ({c1})x + ({c2})x^2")
+    add, mul = RATIONALS.add, RATIONALS.mul
+    return TestFn(lambda x: add(c0, mul(x, add(c1, mul(c2, x)))),  # Horner's rule
+                  label=f"{c0} + ({c1})x + ({c2})x^2")
 
 
 def kernel(rng, cfg, sr, drawn) -> TestFn:
@@ -490,12 +491,12 @@ def _total_pushforward(P=dist(space_a), f=table(space_a, point(space_b))):
 def _linear_extension(f=table(space_a, dist(space_b)), P=dist(space_a), Q=dist(space_a),
                       c=scalar(), x=point(space_a)):
     sr = P.semiring
-    ext = lambda p: linear_extend(f, p)
+    ext = lambda p: pair(p, f)
     yield "ext(dirac(x)) = f(x)", ext(dirac(x, sr)), f(x)
     yield "ext = flatten.pushforward(f)", ext(P), flatten(pushforward(f, P))
     yield from _linear(ext, P, Q, c, "ext ")
     unit = TestFn.dist_valued(lambda y: dirac(y, sr), sr)
-    yield "extension of dirac is the identity", linear_extend(unit, P), P
+    yield "extension of dirac is the identity", pair(P, unit), P
 
 
 @law("biproduct",
@@ -607,7 +608,7 @@ def _extension_uniqueness(values=on_pairs(dist(space_b)), x=point(space_a), Q=di
            extend_2linear(g)(x, Q), extend_2linear_via_strength(g)(x, Q))
     # the bilinear extension is stage-order independent: extending the
     # first slot first agrees with extending the second slot first
-    second_first = linear_extend(TestFn.dist_valued(lambda y: extend_1linear(f)(P, y)), Q)
+    second_first = pair(Q, TestFn.dist_valued(lambda y: extend_1linear(f)(P, y)))
     yield "bilinear extension stage order", extend_bilinear(f)(P, Q), second_first
 
 
@@ -659,7 +660,7 @@ def _cotensor(tables=several(table(space_a, point(space_b))), PF=mixture_of("tab
     yield ("cotensor of a point mass evaluates the table",
            cotensor_strength(dirac(g, sr), x), dirac(g(x), sr))
     yield ("cotensor is linear in the mixture", cotensor_strength(PF, x),
-           linear_extend(TestFn.dist_valued(lambda t: dirac(t(x), sr), sr), PF))
+           pair(PF, TestFn.dist_valued(lambda t: dirac(t(x), sr), sr)))
     post = lambda t: FunTable(t.domain, {a: h(t(a)) for a in t.domain})
     yield ("cotensor natural in the codomain",
            cotensor_strength(pushforward(post, PF), x), pushforward(h, cotensor_strength(PF, x)))

@@ -22,13 +22,13 @@ from .dist import (
     dist_sub,
     flatten,
     fn_action,
+    pair,
     pushforward,
     scale,
     tensor,
     total,
 )
 from .errors import DomainError, NoPrimitiveError, NormalizationError
-from .pairing import pair
 from .scalars import RATIONALS, FrozenValue, _q, _show_rational
 
 _rational = RATIONALS.coerce
@@ -168,30 +168,29 @@ def primitive(q: Dist, step: Step) -> Dist:
     """
     _require_line(q)
     d = step.d
-    orbits: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
+    orbits: dict[Fraction, list[tuple[Fraction, Fraction, Fraction]]] = {}
     for x, w in q.items():
         t = x / d
-        key = t - math.floor(t)
-        orbits.setdefault(key, []).append((t, w))
-    out = {}
+        orbits.setdefault(t - math.floor(t), []).append((t, x, w))
+    out, minus_d = {}, RATIONALS.neg(d)
     for key, points in sorted(orbits.items()):
         points.sort()
-        prefix = Fraction(0)
-        for (t, w), nxt in zip(points, points[1:] + [(None, None)]):
-            prefix += w
-            if nxt[0] is None:
-                if prefix != 0:
-                    raise NoPrimitiveError(
-                        f"orbit of grid offset {_show_rational(key)} has nonzero"
-                        f" total {_show_rational(prefix)}"
-                    )
-                break
-            # the accumulated value persists on every grid point up to the
-            # next support point of q
+        prefix = RATIONALS.zero
+        for (t, x, w), (t_next, _, _) in zip(points, points[1:]):
+            prefix = _add(prefix, w)
+            # the accumulated value persists on every grid point from x up
+            # to the next support point of q; the j-th of them is x + j*d
             if prefix != 0:
-                steps = int(nxt[0] - t)
-                for j in range(steps):
-                    out[(t + j) * d] = -d * prefix
+                c, y = _mul(minus_d, prefix), x
+                for _ in range(int(t_next - t)):
+                    out[y] = c
+                    y = _add(y, d)
+        prefix = _add(prefix, points[-1][2])
+        if prefix != 0:
+            raise NoPrimitiveError(
+                f"orbit of grid offset {_show_rational(key)} has nonzero"
+                f" total {_show_rational(prefix)}"
+            )
     return Dist._of(out, RATIONALS)
 
 

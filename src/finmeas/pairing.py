@@ -1,10 +1,10 @@
-"""Integration pairing, the semantics functional, and densities.
+"""Views of the integration pairing: the semantics functional, densities.
 
-The pairing <P, phi> integrates a test function against a distribution;
-everything else in this module (the semantics functional, its inverse at
-the unit, densities) is a view of that one weighted sum. Reweighting by
-a function is `dist.fn_action`. Nothing here reads a distribution's
-weights directly.
+The pairing <P, phi> is `dist.pair`, the linear extension of phi along
+the unit. Everything in this module (the semantics functional, its
+inverse at the unit, densities, pointwise products of test functions)
+is a view of that one weighted sum. Reweighting by a function is
+`dist.fn_action`. Nothing here reads a distribution's weights directly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .dist import (
     _mix,
     codomain_zero,
     dirac,
-    linear_extend,
+    pair,
 )
 from .errors import NoDensityError
 from .scalars import RATIONALS, Semiring, _show_rational
@@ -31,18 +31,6 @@ def constant_one(semiring: Semiring = RATIONALS) -> TestFn:
     It declares no zero, so pairing it with the empty distribution gives
     that distribution's zero, as for any scalar test function."""
     return TestFn(lambda x: semiring.one)
-
-
-def pair(p: Dist, phi):
-    """The integration pairing: sum of p(x)*phi(x) over the support.
-
-    phi is a test function defined on all of p's support; its values may
-    be scalars, distributions or function tables (the module shapes in
-    use). The pairing against a globally defined phi is nothing but the
-    linear extension of phi, so that is literally how it is computed;
-    for an empty p it is the zero of phi's codomain (`codomain_zero`).
-    """
-    return linear_extend(phi, p)
 
 
 class Functional:

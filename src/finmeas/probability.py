@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dist import Dist, FunTable, _require_points, fn_action, pushforward, scale, tensor, total
+from .dist import (Dist, FunTable, _require_points, fn_action, pair, pushforward, scale,
+                   tensor, total)
 from .errors import ConditioningError, NormalizationError
-from .pairing import pair
 from .scalars import RATIONALS, Semiring
 
 

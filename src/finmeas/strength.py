@@ -2,12 +2,13 @@
 
 Commutativity of the mixture monad is the statement that the two ways of
 tensoring distributions agree. `dist.tensor` uses the direct product
-formula; `tensor_iterated` rebuilds the product through nested mixtures
-in the opposite extension order, so their equality is checked, not
-assumed. The `extend_*` builders extend a map of two points linearly in
-one or both slots, and their `_via_strength` twins build the same
-extensions through the strengths and the module structure map. Nothing
-here reads a distribution's weights directly.
+formula p(x)*q(y); `tensor_iterated` rebuilds the product through nested
+mixtures in the opposite extension order, q(y)*p(x). So their equality,
+Fubini, is checked, not assumed, and it fails over a rig whose weights
+do not commute. The `extend_*` builders extend a map of two points
+linearly in one or both slots, and their `_via_strength` twins build the
+same extensions through the strengths and the module structure map.
+Nothing here reads a distribution's weights directly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .dist import (
     as_point,
     codomain_zero,
     flatten,
-    linear_extend,
+    pair,
     pushforward,
     strength_left,
     strength_right,
@@ -28,15 +29,19 @@ from .dist import (
 
 
 def tensor_iterated(p: Dist, q: Dist) -> Dist:
-    """The tensor rebuilt in the opposite extension order.
+    """The tensor rebuilt in the opposite extension order: q's weight
+    first, then p's, giving {(x, y): q(y)*p(x)}.
 
-    Pair each point of p with q whole, expand those inner products, and
-    mix. Agreement with `tensor` on all inputs is the Fubini property of
-    the monad, and is what the law suite checks.
+    Pair p whole with each point of q (`strength_left`), expand each of
+    those into its products with the point (`strength_right`), and mix.
+    The mixture's outer weight q(y) multiplies the inner weight p(x) from
+    the left. Agreement with `tensor` on all inputs is the Fubini
+    property of the monad, which holds exactly when the weights commute,
+    and is what the law suite checks.
     """
     _same_semiring(p, q)
-    paired = strength_right(p, q)
-    expanded = pushforward(lambda xy: strength_left(xy[0], xy[1]), paired)
+    paired = strength_left(p, q)
+    expanded = pushforward(lambda py: strength_right(py[0], py[1]), paired)
     return flatten(expanded)
 
 
@@ -57,7 +62,7 @@ def extend_2linear(f):
 
     def extended(x, q: Dist):
         g = TestFn(lambda y: f(x, y), codomain_zero(f, q.semiring))
-        return linear_extend(g, q)
+        return pair(q, g)
 
     return extended
 
@@ -67,7 +72,7 @@ def extend_1linear(f):
 
     def extended(p: Dist, y):
         g = TestFn(lambda x: f(x, y), codomain_zero(f, p.semiring))
-        return linear_extend(g, p)
+        return pair(p, g)
 
     return extended
 
@@ -79,7 +84,7 @@ def extend_bilinear(f):
 
     def extended(p: Dist, q: Dist):
         g = TestFn(lambda x: second(x, q), codomain_zero(f, p.semiring))
-        return linear_extend(g, p)
+        return pair(p, g)
 
     return extended
 

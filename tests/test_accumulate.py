@@ -29,7 +29,6 @@ from finmeas import (
     dist_add,
     flatten,
     fn_action,
-    linear_extend,
     marginals,
     pair,
     pushforward,
@@ -192,7 +191,7 @@ def test_dist_valued_linear_extend_matches_the_fold(terms, kernel_terms):
         return kernels[sum(map(ord, repr(x))) % len(kernels)]
 
     expected = [(y, c * v) for x, c in p.items() for y, v in f(x).items()]
-    result = linear_extend(TestFn.dist_valued(f), p)
+    result = pair(p, TestFn.dist_valued(f))
     assert isinstance(result, Dist)
     assert_matches(result, expected)
 
@@ -250,26 +249,26 @@ MIXED = "mixes distribution values with scalar values"
 def test_linear_extend_rejects_a_distribution_then_a_scalar():
     p = Dist({"a": 1, "b": 1})
     with pytest.raises(TypeError, match=MIXED):
-        linear_extend(lambda x: dirac(x) if x == "a" else Fraction(1), p)
+        pair(p, lambda x: dirac(x) if x == "a" else Fraction(1))
 
 
 def test_linear_extend_rejects_a_scalar_then_a_distribution():
     p = Dist({"a": 1, "b": 1})
     with pytest.raises(TypeError, match=MIXED):
-        linear_extend(lambda x: Fraction(1) if x == "a" else dirac(x), p)
+        pair(p, lambda x: Fraction(1) if x == "a" else dirac(x))
 
 
 def test_dist_valued_linear_extend_rejects_a_later_scalar():
     p = Dist({"a": 1, "b": 1, "c": 1})
     with pytest.raises(TypeError, match=MIXED):
-        linear_extend(lambda x: Fraction(1) if x == "c" else dirac(x), p)
+        pair(p, lambda x: Fraction(1) if x == "c" else dirac(x))
 
 
 def test_dist_valued_linear_extend_rejects_mixed_semirings():
     p = Dist({"a": 1, "b": 1})
     f = lambda x: dirac(x) if x == "a" else dirac(x, BOOLEANS)
     with pytest.raises(TypeError, match="mixed scalar semirings"):
-        linear_extend(f, p)
+        pair(p, f)
 
 
 def test_distribution_values_must_share_the_weights_semiring():
@@ -278,7 +277,7 @@ def test_distribution_values_must_share_the_weights_semiring():
     mixture = Dist({Dist({"a": Fraction(1, 2)}): True}, BOOLEANS)
     for route in (
         flatten,
-        lambda m: linear_extend(lambda d: d, m),
+        lambda m: pair(m, lambda d: d),
         lambda m: pair(m, TestFn.dist_valued(lambda d: d)),
     ):
         with pytest.raises(TypeError, match="mixed scalar semirings: boolean vs rational"):

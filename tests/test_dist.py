@@ -21,7 +21,7 @@ from finmeas import (
     dist_add,
     dist_sub,
     flatten,
-    linear_extend,
+    pair,
     pushforward,
     scale,
     total,
@@ -76,18 +76,18 @@ def test_flatten_rejects_plain_points():
 
 def test_linear_extend_of_dirac_is_identity():
     p = Dist({"a": 2, "b": 5})
-    assert linear_extend(TestFn.dist_valued(dirac), p) == p
+    assert pair(p, TestFn.dist_valued(dirac)) == p
 
 
 def test_linear_extend_triangle():
     f = {"a": Dist({"u": 1}), "b": Dist({"v": 2})}
-    assert linear_extend(f.__getitem__, dirac("b")) == f["b"]
+    assert pair(dirac("b"), f.__getitem__) == f["b"]
 
 
 def test_linear_extend_by_hand():
     f = {"a": Dist({"u": 2}), "b": Dist({"u": 1, "v": 1})}
     p = Dist({"a": 1, "b": 3})
-    assert linear_extend(f.__getitem__, p) == Dist({"u": 5, "v": 3})
+    assert pair(p, f.__getitem__) == Dist({"u": 5, "v": 3})
 
 
 def test_total_examples():

@@ -23,7 +23,6 @@ from finmeas import (
     fn_action,
     fn_derivative,
     fn_pointwise_mul,
-    linear_extend,
     pair,
     pushforward,
     semantics,
@@ -108,7 +107,6 @@ def test_every_empty_route_gives_the_one_codomain_zero(name):
     empty, p = Dist.empty(), Dist({"a": 2, "b": -1})
     results = {
         "pair": pair(empty, phi),
-        "linear_extend": linear_extend(phi, empty),
         "semantics": semantics(empty)(phi),
         "fn_derivative": pair(empty, fn_derivative(phi, Step(1))),
         "fn_pointwise_mul": pair(empty, fn_pointwise_mul(constant_one(), phi)),
@@ -121,6 +119,12 @@ def test_every_empty_route_gives_the_one_codomain_zero(name):
     }
     for route, result in results.items():
         assert type(result) is type(zero) and result == zero, route
+
+
+def test_pair_has_one_home():
+    # the pairing is the linear extension, defined once beside the weights
+    assert finmeas.pair is finmeas.dist.pair is finmeas.pairing.pair
+    assert finmeas.pair.__module__ == "finmeas.dist"
 
 
 def test_testfn_has_one_home():

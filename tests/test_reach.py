@@ -1,4 +1,5 @@
-"""Every public name is reached by the system's own use, or says why not.
+"""Every public name is reached by the system's own use, or says why not,
+and no public function is an alias of another.
 
 The trace runs the law suite at seed 0 (20 cases) and one in-process
 call of each CLI command under `sys.setprofile`, and records every code
@@ -9,9 +10,11 @@ methods when one of its methods ran. What is not reached must be on
 too, so the list cannot go stale.
 """
 
+import ast
 import inspect
 import json
 import sys
+from pathlib import Path
 
 import finmeas
 import finmeas.jsonio
@@ -100,3 +103,31 @@ def test_every_public_name_is_reached_or_listed(tmp_path, capsys):
     assert codes == [0] * len(calls), dict(zip(calls, codes))
     unreached = {name for name, code in _public().items() if not code & entered}
     assert unreached == set(UNREACHED)
+
+
+def _forwards(fn: ast.FunctionDef) -> bool:
+    """Whether fn's body, after its docstring, is one `return g(...)` whose
+    arguments are exactly fn's own parameters, in any order."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    args = call.args + [k.value for k in call.keywords]
+    if not all(isinstance(a, ast.Name) for a in args):
+        return False
+    spec = fn.args
+    params = spec.posonlyargs + spec.args + spec.kwonlyargs
+    params += [a for a in (spec.vararg, spec.kwarg) if a is not None]
+    return sorted(a.id for a in args) == sorted(a.arg for a in params)
+
+
+def test_no_public_function_only_forwards_to_another():
+    aliases = []
+    for path in sorted(Path(finmeas.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                    and _forwards(node)):
+                aliases.append(f"{path.stem}.{node.name}")
+    assert aliases == []

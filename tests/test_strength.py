@@ -12,6 +12,7 @@ from finmeas import (
     DomainError,
     FiniteSpace,
     FunTable,
+    Semiring,
     TestFn,
     cotensor_strength,
     dirac,
@@ -72,6 +73,30 @@ def test_tensor_iterated_unit_reduction():
     assert tensor_iterated(dirac("x"), q) == strength_left("x", q)
     assert tensor_iterated(Dist.empty(), q).is_empty()
     assert tensor_iterated(q, Dist.empty()).is_empty()
+
+
+def _hamilton(p, q):
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+# The integer quaternions: a rig with no zero divisors whose product does
+# not commute, kept out of the library, whose semirings are commutative.
+QUATERNIONS = Semiring(
+    "quaternion", (0, 0, 0, 0), (1, 0, 0, 0),
+    lambda p, q: tuple(x + y for x, y in zip(p, q)), _hamilton, tuple,
+)
+
+
+def test_tensor_iterated_multiplies_in_the_other_order():
+    # tensor weighs (x, y) by p(x)*q(y), tensor_iterated by q(y)*p(x):
+    # over the quaternions i*j = k but j*i = -k, so Fubini fails there
+    i, j = (0, 1, 0, 0), (0, 0, 1, 0)
+    p, q = Dist({"a": i}, QUATERNIONS), Dist({"b": j}, QUATERNIONS)
+    assert tensor(p, q) == Dist({("a", "b"): (0, 0, 0, 1)}, QUATERNIONS)
+    assert tensor_iterated(p, q) == Dist({("a", "b"): (0, 0, 0, -1)}, QUATERNIONS)
 
 
 def test_fun_table_is_total_and_strict():
