@@ -111,7 +111,10 @@ class FiniteSpace(FrozenValue):
             return self._ordered
         except AttributeError:  # first read: sort once and cache
             elems = tuple(sorted(self.elements, key=point_key))
-            ordered = self if elems == self.elements else FiniteSpace(elems)
+            ordered = self
+            if elems != self.elements:  # canonical and distinct already: no checks
+                ordered = object.__new__(FiniteSpace)
+                FrozenValue.__init__(ordered, elems)
             object.__setattr__(self, "_ordered", ordered)
             return ordered
 
@@ -132,22 +135,21 @@ class FunTable(FrozenValue):
     """A total function on a FiniteSpace, given by an explicit table.
 
     Tables are immutable and hashable, so a distribution over function
-    tables is itself a valid Dist. The domain is stored in point order,
-    whatever order it was given in, so equal functions are equal tables.
-    Calling a table outside its domain is a DomainError.
+    tables is itself a valid Dist. The domain and the map are stored in
+    point order, whatever order they were given in, so equal functions
+    are equal tables and show alike. Calling a table outside its domain
+    is a DomainError.
     """
 
     __slots__ = _fields = ("domain", "_map")
 
     def __init__(self, domain: FiniteSpace, mapping: Mapping):
         # values are points too, stored canonical
-        table = {as_point(x): as_point(v) for x, v in mapping.items()}
-        if set(table) != set(domain.elements):
+        given = {as_point(x): as_point(v) for x, v in mapping.items()}
+        if given.keys() != set(domain.elements):
             raise DomainError("table must be defined on exactly the domain")
-        object.__setattr__(self, "domain", domain._in_point_order())
-        # the map keeps the order the mapping was given in; only the wire
-        # format (`jsonio.table_to_json`) shows it
-        object.__setattr__(self, "_map", table)
+        domain = domain._in_point_order()
+        super().__init__(domain, {x: given[x] for x in domain})
 
     def __call__(self, x):
         x = as_point(x)
@@ -156,10 +158,10 @@ class FunTable(FrozenValue):
         return self._map[x]
 
     def items(self):
-        return tuple((x, self._map[x]) for x in self.domain)
+        return tuple(self._map.items())
 
     def values(self):
-        return tuple(self._map[x] for x in self.domain)
+        return tuple(self._map.values())
 
     def _key(self) -> tuple:
         return (self.domain, self.values())
@@ -325,7 +327,7 @@ def _base_kind(x) -> _Kind:
     for cls in x.__class__.__mro__:
         if cls in _KINDS:
             return _KINDS[cls]
-    raise TypeError(f"{x!r} is not in the point universe")
+    raise TypeError(f"{_show_rational(x, repr)} is not in the point universe")
 
 
 def _show_point(x) -> str:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .dist import Dist, FiniteSpace, FunTable, Left, Right, as_point
 from .errors import ParseError
-from .scalars import RATIONAL_RE, format_rational, parse_rational
+from .scalars import RATIONAL_RE, _show_rational, format_rational, parse_rational
 
 
 def _atom_to_json(x: str) -> str:
@@ -89,12 +89,14 @@ def dist_from_json(obj) -> Dist:
 
 def table_to_json(table: FunTable) -> dict:
     out = {}
-    for x, v in table._map.items():  # in the order the mapping was given in
+    for x, v in table.items():
         key = point_to_json(x)
         if not isinstance(key, str):
             raise ParseError("table keys on the wire must be atoms or rationals")
         if v.__class__ is not Fraction:  # table values are canonical points
-            raise ParseError(f"table values on the wire must be rationals: {v!r}")
+            raise ParseError(
+                f"table values on the wire must be rationals: {_show_rational(v, repr)}"
+            )
         out[key] = format_rational(v)
     return out
 

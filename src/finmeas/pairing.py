@@ -25,12 +25,13 @@ from .errors import NoDensityError
 from .scalars import RATIONALS, Semiring, _show_rational
 
 
-def constant_one(semiring: Semiring = RATIONALS) -> TestFn:
+def constant_one():
     """The constant-1 test function; pairing against it forms the total.
 
-    It declares no zero, so pairing it with the empty distribution gives
-    that distribution's zero, as for any scalar test function."""
-    return TestFn(lambda x: semiring.one)
+    Its rational 1 is coerced into the rig of the distribution it is
+    paired with, and pairing it with the empty distribution gives that
+    distribution's zero, as for any scalar test function."""
+    return lambda x: RATIONALS.one
 
 
 class Functional:

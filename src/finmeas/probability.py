@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dist import (Dist, FunTable, _require_points, fn_action, pair, pushforward, scale,
-                   tensor, total)
+from .dist import (Dist, FunTable, _require_points, fn_action, pushforward, scale, tensor,
+                   total)
 from .errors import ConditioningError, NormalizationError
 from .scalars import RATIONALS, Semiring
 
@@ -29,11 +29,12 @@ def normalize(p: Dist) -> Dist:
     return scale(sr.inv(t), p)
 
 
-def indicator(pred, semiring: Semiring = RATIONALS):
-    """The 0/1 test function of a predicate (an event)."""
+def indicator(pred):
+    """The 0/1 test function of a predicate (an event). Its rational 0
+    and 1 are coerced into the rig of the distribution it meets."""
 
     def event(x):
-        return semiring.one if pred(x) else semiring.zero
+        return RATIONALS.one if pred(x) else RATIONALS.zero
 
     return event
 
@@ -49,17 +50,19 @@ def is_event_table(table: FunTable, semiring: Semiring = RATIONALS) -> bool:
 def condition(p: Dist, event) -> Dist:
     """The conditional distribution of p given an event.
 
-    Reweight by the event, then divide out its pairing with p; the
-    result has total 1 again. Conditioning on a null event (pairing
-    zero) is its own error, distinct from domain errors.
+    Reweight by the event once, then divide out the reweighted total,
+    which is the event's pairing with p; the result has total 1 again.
+    Conditioning on a null event (pairing zero) is its own error,
+    distinct from domain errors.
     """
     sr = p.semiring
     if sr.inv is None:
         raise ConditioningError(f"{sr.name} scalars have no division")
-    mass = pair(p, event)
+    weighted = fn_action(p, event)
+    mass = total(weighted)
     if mass == sr.zero:
         raise ConditioningError("conditioning on a null event")
-    return scale(sr.inv(mass), fn_action(p, event))
+    return scale(sr.inv(mass), weighted)
 
 
 def marginals(j: Dist) -> tuple[Dist, Dist]:

@@ -93,7 +93,7 @@ def _coerce_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise TypeError(f"cannot use {value!r} as an exact rational scalar")
+    raise TypeError(f"cannot use {_show_rational(value, repr)} as an exact rational scalar")
 
 
 def _coerce_boolean(value) -> bool:
@@ -101,7 +101,7 @@ def _coerce_boolean(value) -> bool:
         return value
     if isinstance(value, (int, Fraction)) and value in (0, 1):
         return bool(value)
-    raise TypeError(f"cannot use {value!r} as a boolean scalar")
+    raise TypeError(f"cannot use {_show_rational(value, repr)} as a boolean scalar")
 
 
 class FrozenValue:
@@ -197,14 +197,6 @@ class Semiring(FrozenValue):
 
     def _key(self) -> tuple:
         return (self.name, self.zero, self.one)
-
-    @property
-    def is_ring(self) -> bool:
-        return self.neg is not None
-
-    @property
-    def has_inverses(self) -> bool:
-        return self.inv is not None
 
     def sub(self, a, b):
         if self.neg is None:

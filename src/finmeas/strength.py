@@ -2,12 +2,13 @@
 
 Commutativity of the mixture monad is the statement that the two ways of
 tensoring distributions agree. `dist.tensor` uses the direct product
-formula p(x)*q(y); `tensor_iterated` rebuilds the product through nested
-mixtures in the opposite extension order, q(y)*p(x). So their equality,
-Fubini, is checked, not assumed, and it fails over a rig whose weights
-do not commute. The `extend_*` builders extend a map of two points
-linearly in one or both slots, and their `_via_strength` twins build the
-same extensions through the strengths and the module structure map.
+formula p(x)*q(y); `tensor_iterated` is the linear extension (`pair`)
+over q of y -> strength_right(p, y), the opposite extension order,
+q(y)*p(x). So their equality, Fubini, is checked, not assumed, and it
+fails over a rig whose weights do not commute. The `extend_*` builders
+extend a map of two points linearly in one or both slots, and their
+`_via_strength` twins build the same extensions through the strengths
+and the module structure map.
 Nothing here reads a distribution's weights directly.
 """
 
@@ -19,7 +20,6 @@ from .dist import (
     _same_semiring,
     as_point,
     codomain_zero,
-    flatten,
     pair,
     pushforward,
     strength_left,
@@ -32,17 +32,15 @@ def tensor_iterated(p: Dist, q: Dist) -> Dist:
     """The tensor rebuilt in the opposite extension order: q's weight
     first, then p's, giving {(x, y): q(y)*p(x)}.
 
-    Pair p whole with each point of q (`strength_left`), expand each of
-    those into its products with the point (`strength_right`), and mix.
-    The mixture's outer weight q(y) multiplies the inner weight p(x) from
-    the left. Agreement with `tensor` on all inputs is the Fubini
-    property of the monad, which holds exactly when the weights commute,
-    and is what the law suite checks.
+    Extend y -> strength_right(p, y), the distribution {(x, y): p(x)},
+    linearly over q with `pair`, whose weighted sum multiplies each
+    inner weight p(x) by the outer weight q(y) from the left. Agreement with
+    `tensor` on all inputs is the Fubini property of the monad, which
+    holds exactly when the weights commute, and is what the law suite
+    checks.
     """
-    _same_semiring(p, q)
-    paired = strength_left(p, q)
-    expanded = pushforward(lambda py: strength_right(py[0], py[1]), paired)
-    return flatten(expanded)
+    sr = _same_semiring(p, q)
+    return pair(q, TestFn.dist_valued(lambda y: strength_right(p, y), sr))
 
 
 def cotensor_strength(pf: Dist, x):

@@ -30,8 +30,10 @@ from finmeas import (
     NoDensityError,
     NoPrimitiveError,
     NormalizationError,
+    ParseError,
     Right,
     Step,
+    TestFn,
     biproduct_merge,
     biproduct_split,
     condition,
@@ -54,9 +56,11 @@ from finmeas import (
     pushforward,
     rv_sum,
     scale,
+    structure_map,
     translate,
 )
 from finmeas.dist import FunTable, point_key, strength_left, strength_right, tensor
+from finmeas.jsonio import table_to_json
 
 from .conftest import (
     atom_dists,
@@ -227,6 +231,14 @@ OVERSIZED_POINT_ERRORS = {
     "table call": (DomainError, lambda: FunTable(FiniteSpace(["a"]), {"a": 1})(_HUGE)),
     "interval": (NoPrimitiveError, lambda: interval(0, _HUGE, Step(1))),
     "primitive": (NoPrimitiveError, lambda: primitive(Dist({_HUGE: 1}), Step(1))),
+    "rational coerce": (TypeError, lambda: pair(Dist({"a": 1}), lambda x: (_HUGE, "a"))),
+    "boolean coerce": (TypeError, lambda: BOOLEANS.coerce((_HUGE, "a"))),
+    "point universe": (TypeError, lambda: Dist([([_HUGE], 1)])),
+    "structure_map": (TypeError, lambda: structure_map(Dist({(_HUGE, "b"): 1}))),
+    "table_to_json": (
+        ParseError,
+        lambda: table_to_json(FunTable(FiniteSpace(["a"]), {"a": (_HUGE, "b")})),
+    ),
 }
 
 
@@ -286,6 +298,11 @@ REFUSALS = {
     "boolean normalize": (NormalizationError, "no division", lambda: normalize(_B)),
     "boolean condition": (
         ConditioningError, "no division", lambda: condition(_B, lambda x: True)),
+    "distribution-valued event": (
+        TypeError, "as an exact rational scalar", lambda: condition(_P, dirac)),
+    "distribution-valued event on nothing": (
+        ConditioningError, "null event",
+        lambda: condition(Dist.empty(), TestFn.dist_valued(dirac))),
     "repeated space element": (
         ValueError, "duplicate-free", lambda: FiniteSpace(["a", "b", "a"])),
 }
@@ -349,4 +366,5 @@ def _attribute_users(attr):
 
 def test_only_dist_reads_the_weights_and_few_modules_trust_them():
     assert _attribute_users("_w") == {"dist.py"}
+    assert _attribute_users("_map") == {"dist.py"}
     assert _attribute_users("_of") == {"dist.py", "line.py", "laws.py"}

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 from fractions import Fraction
 
@@ -137,8 +138,23 @@ def test_rational_table_encodes_to_exact_bytes():
         FiniteSpace(["a", Fraction(1, 2)]), {"a": Fraction(-6, 4), Fraction(1, 2): 3}
     )
     assert json.dumps(table_to_json(table), separators=(",", ":")) == (
-        '{"a":"-3/2","1/2":"3"}'
+        '{"1/2":"3","a":"-3/2"}'
     )
+
+
+def test_tables_of_one_function_encode_alike_whatever_the_given_order():
+    mapping = {"b": 1, Fraction(1, 2): Fraction(-6, 4), "a": 2, 3: 0}
+    tables = [
+        FunTable(FiniteSpace(domain), {x: mapping[x] for x in given})
+        for domain in itertools.permutations(mapping)
+        for given in itertools.permutations(mapping)
+    ]
+    assert len({t.items() for t in tables}) == 1
+    assert len({repr(t) for t in tables}) == 1
+    assert len({hash(t) for t in tables}) == 1
+    assert {json.dumps(table_to_json(t), separators=(",", ":")) for t in tables} == {
+        '{"1/2":"-3/2","3":"0","a":"2","b":"1"}'
+    }
 
 
 @pytest.mark.parametrize(

@@ -51,12 +51,12 @@ def test_pairing_against_one_is_total():
 
 
 def test_constant_one_on_the_empty_distribution_is_its_zero():
-    # the zero follows the paired distribution's semiring, not constant_one's
-    for p, one in ((Dist.empty(BOOLEANS), constant_one()),
-                   (Dist.empty(), constant_one(BOOLEANS))):
-        result, zero = pair(p, one), total(p)
+    # the zero and the one follow the paired distribution's semiring
+    for p in (Dist.empty(BOOLEANS), Dist.empty()):
+        result, zero = pair(p, constant_one()), total(p)
         assert type(result) is type(zero) and result == zero, p.semiring.name
     assert pair(Dist.empty(BOOLEANS), constant_one()) is False
+    assert pair(Dist({"a": True}, BOOLEANS), constant_one()) is True
 
 
 def test_pairing_undefined_point_is_domain_error():
